@@ -51,21 +51,24 @@ def rational_from_json(value: object, where: str) -> Fraction:
         match = _RATIONAL_RE.match(value)
         if not match:
             raise FormatError(f"{where}: malformed rational {value!r}")
-        return Fraction(int(match.group(1)), int(match.group(2)))
+        try:
+            return Fraction(int(match.group(1)), int(match.group(2)))
+        except ValueError as e:          # more digits than int() converts
+            raise FormatError(f"{where}: {e}") from None
     raise FormatError(f"{where}: expected a rational, got {value!r}")
 
 
 def rational_from_text(token: str) -> Fraction:
     """Rational from a command-line token: an integer or p/q."""
     token = token.strip()
-    try:
-        return Fraction(int(token))
-    except ValueError:
-        pass
     match = _RATIONAL_RE.match(token)
-    if not match:
-        raise ContractError(f"malformed rational {token!r}")
-    return Fraction(int(match.group(1)), int(match.group(2)))
+    try:
+        if match:
+            return Fraction(int(match.group(1)), int(match.group(2)))
+        return Fraction(int(token))
+    except ValueError as e:              # not a rational, or more digits than int() converts
+        shown = token if len(token) <= 40 else token[:40] + "..."
+        raise ContractError(f"malformed rational {shown!r}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,25 @@ def _expect(data: Mapping, key: str, kind: type, where: str):
     return value
 
 
+class _OversizedInt:
+    """A JSON integer with more digits than Python converts.  It stands in
+    for the number so that the checks of ``parse_instance``, which reject
+    it wherever it sits, can name its path."""
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return f"an integer of {len(self.digits)} digits, more than Python converts"
+
+
+def _int_or_oversized(digits: str) -> Union[int, _OversizedInt]:
+    try:
+        return int(digits)
+    except ValueError:
+        return _OversizedInt(digits)
+
+
 def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     """Parse a JSON instance document (text or an already-decoded mapping).
 
@@ -130,6 +152,10 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
             data = json.loads(document)
         except json.JSONDecodeError as e:
             raise FormatError(f"document is not valid JSON: {e}") from None
+        except ValueError:
+            # an integer past int()'s digit limit; decode again keeping it as a
+            # marker, which the checks below reject by its path
+            data = json.loads(document, parse_int=_int_or_oversized)
     else:
         data = document
     if not isinstance(data, Mapping):
@@ -159,7 +185,7 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
         values = [rational_from_json(v, f"document.matrix[{i}][{j}]") for j, v in enumerate(row)]
         if kind == "max-atomic":
             for j, v in enumerate(values):
-                if v < 0:
+                if v.numerator < 0:      # an int compare; Fraction < 0 dispatches through the numbers ABC
                     raise FormatError(f"document.matrix[{i}][{j}]: demands must be non-negative")
         matrix.append(values)
 

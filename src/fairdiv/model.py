@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -73,7 +74,7 @@ class MaxAtomic:
         frozen = _freeze_matrix(demands, "demands")
         for i, row in enumerate(frozen):
             for j, d in enumerate(row):
-                if d < 0:
+                if d.numerator < 0:     # an int compare; Fraction < 0 dispatches through the numbers ABC
                     raise ContractError(f"demands[{i}][{j}]: demands must be non-negative, got {d}")
         object.__setattr__(self, "demands", frozen)
 
@@ -132,6 +133,21 @@ class Instance:
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.utilities.matrix
+
+
+def scale_to_ints(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``values`` times ``scale`` as plain ints; ``scale`` must be a multiple
+    of every denominator among them."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def scaled_rows(instance: Instance) -> tuple[list[list[int]], int]:
+    """The instance's matrix with denominators cleared, and the scale used
+    (the lcm of all denominators), so hot loops can run on plain ints.
+    Scaling by a positive constant keeps every order and equality."""
+    matrix = instance.matrix
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    return [scale_to_ints(row, scale) for row in matrix], scale
 
 
 def additive_instance(matrix: Sequence[Sequence[object]],

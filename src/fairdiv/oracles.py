@@ -13,14 +13,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        literal_holds)
 from .model import (Additive, Allocation, ContractError, Instance,
                     UtilityVector, WrongUtilityKind, dominates, find_envy,
-                    utility_vector)
+                    scale_to_ints, scaled_rows, utility_vector)
 
 
 class SearchSpaceTooLarge(ContractError):
@@ -160,13 +159,6 @@ def brute_force_leximin(instance: Instance, max_states: int = 2_000_000) -> tupl
 # ---------------------------------------------------------------------------
 # Pareto-improvement search
 
-def _scaled_rows(instance: Instance) -> tuple[list[list[int]], int]:
-    """Clear denominators so the hot search loops run on plain ints."""
-    matrix = instance.matrix
-    scale = lcm(*(v.denominator for row in matrix for v in row))
-    return [[int(v * scale) for v in row] for row in matrix], scale
-
-
 def _dominator_search(rows: list[list[int]], base: list[int], counter: _Counter) -> Optional[list[Optional[int]]]:
     """Depth-first search for an allocation whose utility vector weakly
     dominates ``base`` with at least one strict gain.
@@ -243,8 +235,8 @@ def find_dominating_allocation(instance: Instance, baseline: Allocation,
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the improvement search works on additive instances")
     base_vec = utility_vector(instance, baseline)   # also validates the allocation
-    rows, scale = _scaled_rows(instance)
-    base = [int(v * scale) for v in base_vec.values]
+    rows, scale = scaled_rows(instance)
+    base = scale_to_ints(base_vec.values, scale)
     counter = _Counter(budget)
     try:
         owner = _dominator_search(rows, base, counter)
@@ -309,7 +301,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
-    rows, scale = _scaled_rows(instance)
+    rows, scale = scaled_rows(instance)
     n, m = instance.num_agents, instance.num_resources
     if candidates is None:
         candidates = (Allocation(owners)
@@ -319,7 +311,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
             counter.spend()
             if find_envy(instance, allocation) is not None:
                 continue
-            base = [int(v * scale) for v in utility_vector(instance, allocation).values]
+            base = scale_to_ints(utility_vector(instance, allocation).values, scale)
             if _dominator_search(rows, base, counter) is None:
                 return TriVerdict.yes(allocation, counter.used)
     except _OutOfBudget:

@@ -16,12 +16,15 @@ point library routine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
-from .model import (Allocation, ContractError, Instance, MaxAtomic,
-                    UtilityVector, WrongUtilityKind, utility_vector)
+from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
+                    UtilityVector, WrongUtilityKind, leximin_compare,
+                    scaled_rows, utility_vector)
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,17 @@ def generate_weights(instance: Instance) -> WeightMatrix:
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
-    demands = instance.utilities.demands
-    counts: dict[Fraction, int] = {}
-    for row in demands:
-        for d in row:
-            counts[d] = counts.get(d, 0) + 1
-    weight_of: dict[Fraction, int] = {}
+    # demand levels as scaled ints: hashing and ordering them is far cheaper
+    # than doing the same with Fractions, and scaling keeps both intact
+    levels, _ = scaled_rows(instance)
+    counts = Counter(chain.from_iterable(levels))
+    weight_of: dict[int, int] = {}
     handed_out = 0
-    for value in sorted(counts, reverse=True):
+    for level in sorted(counts, reverse=True):
         w = handed_out + 1
-        weight_of[value] = w
-        handed_out += w * counts[value]
-    return WeightMatrix(tuple(tuple(weight_of[d] for d in row) for row in demands))
+        weight_of[level] = w
+        handed_out += w * counts[level]
+    return WeightMatrix(tuple(tuple(map(weight_of.__getitem__, row)) for row in levels))
 
 
 def check_weight_invariants(instance: Instance, weights: WeightMatrix) -> None:
@@ -221,15 +223,16 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     C = max(n, m) + 3
     top = C ** (n + 1)
     S = min(n, m) * top + 1
-    aug = [[rows[i][j] * S + top - C ** (n - i) * (m - j) for j in range(m)]
-           for i in range(n)]
+    aug = []
+    for i, row in enumerate(rows):
+        rank = C ** (n - i)
+        aug.append([w * S + top - rank * (m - j) for j, w in enumerate(row)])
 
     if n <= m:
         col_of_row = _hungarian(aug)
         pairs = [(i, col_of_row[i]) for i in range(n) if col_of_row[i] >= 0]
     else:
-        transposed = [[aug[i][j] for i in range(n)] for j in range(m)]
-        row_of_col = _hungarian(transposed)
+        row_of_col = _hungarian([list(col) for col in zip(*aug)])
         pairs = [(row_of_col[j], j) for j in range(m) if row_of_col[j] >= 0]
     return Matching(pairs)
 
@@ -255,15 +258,18 @@ def solve_leximin(instance: Instance) -> Allocation:
     return Allocation(owner)
 
 
+def beats_threshold(optimum: UtilityVector, threshold: Union[UtilityVector, Sequence[object]]) -> bool:
+    """Is ``optimum`` strictly above ``threshold`` in the leximin order?
+    Raises ContractError when the two lengths differ."""
+    if not isinstance(threshold, UtilityVector):
+        threshold = UtilityVector(threshold)
+    if len(threshold) != len(optimum):
+        raise ContractError(f"threshold has {len(threshold)} entries for {len(optimum)} agents")
+    return leximin_compare(threshold, optimum) is Ordering.LESS
+
+
 def decide_lmmuab(instance: Instance, threshold: Union[UtilityVector, Sequence[object]]) -> bool:
     """Threshold decision: is the leximin optimum strictly above ``threshold``
     in the leximin order?  (The acronym names the underlying decision problem:
     leximin-maximal max-utility allocation with atomic bids.)"""
-    from .model import Ordering, leximin_compare
-    if not isinstance(threshold, UtilityVector):
-        threshold = UtilityVector(threshold)
-    if len(threshold) != instance.num_agents:
-        raise ContractError(
-            f"threshold has {len(threshold)} entries for {instance.num_agents} agents")
-    best = utility_vector(instance, solve_leximin(instance))
-    return leximin_compare(threshold, best) is Ordering.LESS
+    return beats_threshold(utility_vector(instance, solve_leximin(instance)), threshold)

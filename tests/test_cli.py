@@ -9,6 +9,8 @@ from fairdiv import (
     max_atomic_instance,
     serialize_instance,
 )
+import fairdiv.cli
+import fairdiv.solver
 from fairdiv.cli import main
 from fairdiv.formats import strip_volatile
 
@@ -61,6 +63,26 @@ def test_solve_leximin_threshold_decision(tmp_path, capsys):
     assert code == 3 and "error:" in err
     code, _, err = run(capsys, ["solve-leximin", path, "--K", "0.5,1"])
     assert code == 3
+
+
+def test_solve_leximin_threshold_solves_once(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "i.json", max_atomic_instance([[5, 3], [4, 1]]))
+    solves = []
+    solve = fairdiv.solver.solve_leximin
+
+    def counted(instance):
+        solves.append(instance)
+        return solve(instance)
+
+    monkeypatch.setattr(fairdiv.cli, "solve_leximin", counted)
+    monkeypatch.setattr(fairdiv.solver, "solve_leximin", counted)
+    assert main(["solve-leximin", path, "--K", "5/2,4"]) == 0
+    assert len(solves) == 1
+    out = capsys.readouterr().out
+    assert out.endswith('  "witness": {\n'
+                        '    "optimum_sorted": [\n      3,\n      4\n    ],\n'
+                        '    "threshold": [\n      "5/2",\n      4\n    ]\n'
+                        '  }\n}\n')
 
 
 def test_solve_leximin_rejects_additive_documents(tmp_path, capsys):
@@ -253,6 +275,34 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-reduction", "nope", "x"]) == 3
     capsys.readouterr()
+
+
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fairdiv.cli, "_cmd_check_envy", broken)
+    code, report, err = run(capsys, ["check-envy", str(tmp_path / "i.json")])
+    assert code == 4 and report is None
+    assert "error: internal: RuntimeError: boom" in err
+
+
+LONG_DIGITS = "7" * 5000      # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("cell", [LONG_DIGITS, f'"1/{LONG_DIGITS}"'], ids=["int", "ratio"])
+def test_oversized_matrix_entries_exit_3(tmp_path, capsys, cell):
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "additive", "agents": ["a1"], "resources": ["o1", "o2"], '
+                    f'"matrix": [[1, {cell}]], "allocation": {{"o1": "a1"}}}}')
+    code, _, err = run(capsys, ["check-envy", str(path)])
+    assert code == 3 and "document.matrix[0][1]" in err
+
+
+def test_oversized_threshold_token_exits_3(tmp_path, capsys):
+    path = write_doc(tmp_path, "i.json", max_atomic_instance([[5, 3], [4, 1]]))
+    code, _, err = run(capsys, ["solve-leximin", path, "--K", f"1,1/{LONG_DIGITS}"])
+    assert code == 3 and "malformed rational '1/777" in err
 
 
 def test_missing_and_malformed_files_exit_3(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
@@ -20,6 +20,7 @@ from fairdiv import (
     matching_weight,
     max_atomic_instance,
     min_weight_max_matching,
+    parse_instance,
     solve_leximin,
     utility_vector,
 )
@@ -30,6 +31,26 @@ demand_matrices = st.integers(1, 4).flatmap(
         lambda m: st.lists(
             st.lists(st.integers(0, 9), min_size=m, max_size=m),
             min_size=n, max_size=n)))
+
+# demands as (numerator, denominator) pairs, so one matrix mixes denominators
+rational_cells = st.tuples(st.integers(0, 12), st.integers(1, 6))
+rational_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(rational_cells, min_size=m, max_size=m),
+            min_size=n, max_size=n)))
+
+
+def rational_document(matrix, factor=1):
+    """A max-atomic document whose cells are written "p/q", both terms
+    multiplied by ``factor``."""
+    n, m = len(matrix), len(matrix[0])
+    return parse_instance({
+        "kind": "max-atomic",
+        "agents": [f"a{i}" for i in range(n)],
+        "resources": [f"o{j}" for j in range(m)],
+        "matrix": [[f"{p * factor}/{q * factor}" for p, q in row] for row in matrix],
+    }).instance
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +100,15 @@ def test_invariant_checker_catches_bad_weights():
 def test_weight_invariants_on_random_matrices(matrix):
     inst = max_atomic_instance(matrix)
     check_weight_invariants(inst, generate_weights(inst))
+
+
+@given(rational_matrices, st.integers(2, 5))
+def test_weights_on_mixed_denominators(matrix, factor):
+    inst = rational_document(matrix)
+    weights = generate_weights(inst)
+    check_weight_invariants(inst, weights)
+    # the same rationals written differently ("1/3" and "2/6") weigh the same
+    assert generate_weights(rational_document(matrix, factor)) == weights
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +233,16 @@ def test_scaling_demands_keeps_the_matching(matrix, p, q):
 @settings(max_examples=80)
 def test_solver_matches_brute_force(matrix):
     inst = max_atomic_instance(matrix)
+    solved = utility_vector(inst, solve_leximin(inst))
+    _, best = brute_force_leximin(inst)
+    assert leximin_compare(solved, best) is Ordering.EQUAL
+
+
+@given(rational_matrices)
+@example([[(1, 2), (2, 3)], [(3, 4), (1, 6)], [(2, 6), (5, 4)], [(1, 3), (1, 1)]])   # n > m: transposed
+@settings(max_examples=80)
+def test_solver_matches_brute_force_on_rationals(matrix):
+    inst = rational_document(matrix)
     solved = utility_vector(inst, solve_leximin(inst))
     _, best = brute_force_leximin(inst)
     assert leximin_compare(solved, best) is Ordering.EQUAL
