@@ -17,12 +17,11 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .formats import (FormatError, InstanceDocument, Report, allocation_to_json,
+from .formats import (FormatError, InstanceDocument, allocation_to_json,
                       exit_code, make_report, parse_ae_dimacs, parse_dimacs,
                       parse_instance, rational_from_text, rational_to_json,
                       report_to_json, serialize_instance, sha256_digest,
                       utilities_to_json)
-from .formulas import PartialAssignment
 from .model import ContractError, UtilityVector, find_envy, utility_vector
 from .oracles import (SearchBudget, brute_force_eef, find_dominating_allocation,
                       is_pareto_optimal, sat_on_partial, ae3cnf_eval)
@@ -63,84 +62,71 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(DEFAULT_NODE_BUDGET)
 
 
-def _emit(report: Report) -> int:
-    sys.stdout.write(report_to_json(report))
-    return exit_code(report.verdict)
-
-
-def _load_document(path: str) -> tuple[InstanceDocument, dict]:
-    text = _read(path)
-    return parse_instance(text), {path: sha256_digest(text)}
-
-
 def _require_allocation(doc: InstanceDocument):
     if doc.allocation is None:
         raise ContractError("the instance document carries no allocation")
     return doc.allocation
 
 
-def _cmd_solve_leximin(args) -> int:
-    doc, inputs = _load_document(args.instance)
-    started = time.perf_counter()
-    allocation = solve_leximin(doc.instance)
-    vector = utility_vector(doc.instance, allocation)
-    wall_ms = (time.perf_counter() - started) * 1000
-    if args.K is not None:
-        threshold = UtilityVector([rational_from_text(tok) for tok in args.K.split(",")])
-        beaten = beats_threshold(vector, threshold)
-        witness = {
-            "threshold": utilities_to_json(threshold),
-            "optimum_sorted": [rational_to_json(v) for v in vector.sorted()],
-        }
-        report = make_report("solve-leximin", "yes" if beaten else "no",
-                             witness=witness, wall_ms=wall_ms, inputs=inputs)
-        return _emit(report)
-    witness = {
-        "allocation": allocation_to_json(doc.instance, allocation),
-        "utilities": utilities_to_json(vector),
-        "utilities_sorted": [rational_to_json(v) for v in vector.sorted()],
-    }
-    return _emit(make_report("solve-leximin", "yes", witness=witness,
-                             wall_ms=wall_ms, inputs=inputs))
+def _reporting(decide):
+    """A report command from ``decide(args, text) -> (verdict, witness,
+    nodes)``: read the input file, time ``decide`` on its text, and print
+    the report, whose exit code follows the verdict."""
+    def command(args) -> int:
+        text = _read(args.path)
+        started = time.perf_counter()
+        verdict, witness, nodes = decide(args, text)
+        wall_ms = (time.perf_counter() - started) * 1000
+        report = make_report(args.command, verdict, witness=witness, nodes=nodes,
+                             wall_ms=wall_ms, inputs={args.path: sha256_digest(text)})
+        sys.stdout.write(report_to_json(report))
+        return exit_code(verdict)
+    return command
 
 
-def _cmd_check_pareto(args) -> int:
-    doc, inputs = _load_document(args.instance)
-    allocation = _require_allocation(doc)
-    started = time.perf_counter()
-    verdict = is_pareto_optimal(doc.instance, allocation, _budget(args))
-    wall_ms = (time.perf_counter() - started) * 1000
+@_reporting
+def _cmd_solve_leximin(args, text: str):
+    instance = parse_instance(text).instance
+    allocation = solve_leximin(instance)
+    vector = utility_vector(instance, allocation)
+    optimum_sorted = [rational_to_json(v) for v in vector.sorted()]
+    if args.K is None:
+        return "yes", {"allocation": allocation_to_json(instance, allocation),
+                       "utilities": utilities_to_json(vector),
+                       "utilities_sorted": optimum_sorted}, 0
+    threshold = UtilityVector([rational_from_text(tok) for tok in args.K.split(",")])
+    verdict = "yes" if beats_threshold(vector, threshold) else "no"
+    return verdict, {"threshold": utilities_to_json(threshold), "optimum_sorted": optimum_sorted}, 0
+
+
+@_reporting
+def _cmd_check_pareto(args, text: str):
+    doc = parse_instance(text)
+    verdict = is_pareto_optimal(doc.instance, _require_allocation(doc), _budget(args))
     witness = None
     if verdict.is_no:
         witness = {"dominating_allocation": allocation_to_json(doc.instance, verdict.witness)}
-    return _emit(make_report("check-pareto", verdict.kind.value, witness=witness,
-                             nodes=verdict.nodes, wall_ms=wall_ms, inputs=inputs))
+    return verdict.kind.value, witness, verdict.nodes
 
 
-def _cmd_check_envy(args) -> int:
-    doc, inputs = _load_document(args.instance)
-    allocation = _require_allocation(doc)
-    started = time.perf_counter()
-    pair = find_envy(doc.instance, allocation)
-    wall_ms = (time.perf_counter() - started) * 1000
+@_reporting
+def _cmd_check_envy(args, text: str):
+    doc = parse_instance(text)
+    pair = find_envy(doc.instance, _require_allocation(doc))
     if pair is None:
-        return _emit(make_report("check-envy", "yes", wall_ms=wall_ms, inputs=inputs))
-    witness = {"envious_agent": doc.instance.agents[pair[0]],
-               "envied_agent": doc.instance.agents[pair[1]]}
-    return _emit(make_report("check-envy", "no", witness=witness,
-                             wall_ms=wall_ms, inputs=inputs))
+        return "yes", None, 0
+    return "no", {"envious_agent": doc.instance.agents[pair[0]],
+                  "envied_agent": doc.instance.agents[pair[1]]}, 0
 
 
-def _cmd_find_eef(args) -> int:
-    doc, inputs = _load_document(args.instance)
-    started = time.perf_counter()
-    verdict = brute_force_eef(doc.instance, _budget(args))
-    wall_ms = (time.perf_counter() - started) * 1000
+@_reporting
+def _cmd_find_eef(args, text: str):
+    instance = parse_instance(text).instance
+    verdict = brute_force_eef(instance, _budget(args))
     witness = None
     if verdict.is_yes:
-        witness = {"allocation": allocation_to_json(doc.instance, verdict.witness)}
-    return _emit(make_report("find-eef", verdict.kind.value, witness=witness,
-                             nodes=verdict.nodes, wall_ms=wall_ms, inputs=inputs))
+        witness = {"allocation": allocation_to_json(instance, verdict.witness)}
+    return verdict.kind.value, witness, verdict.nodes
 
 
 def _write_document(doc: InstanceDocument, out: Optional[str]) -> None:
@@ -167,7 +153,7 @@ def _cmd_reduce_eef(args) -> int:
     return 0
 
 
-def _verify_po(args, inputs: dict, text: str) -> Report:
+def _verify_po(args, text: str):
     formula = parse_dimacs(text)
     reduction = reduce_3cnf_to_po(formula)
     sat = sat_on_partial(formula)
@@ -184,12 +170,11 @@ def _verify_po(args, inputs: dict, text: str) -> Report:
         construct_improvement_po(reduction, sat.witness)   # raises if it would not dominate
         detail["improvement_construction_checked"] = True
     if dominated.is_unknown:
-        return make_report("verify-reduction", "unknown", witness=detail, nodes=nodes, inputs=inputs)
-    verdict = "yes" if sat.is_yes == dominated.is_yes else "no"
-    return make_report("verify-reduction", verdict, witness=detail, nodes=nodes, inputs=inputs)
+        return "unknown", detail, nodes
+    return ("yes" if sat.is_yes == dominated.is_yes else "no"), detail, nodes
 
 
-def _verify_eef(args, inputs: dict, text: str) -> Report:
+def _verify_eef(args, text: str):
     formula, _ = augment_both_polarities(parse_ae_dimacs(text))
     reduction = reduce_ae3cnf_to_eef(formula)
     budget = _budget(args)
@@ -238,23 +223,14 @@ def _verify_eef(args, inputs: dict, text: str) -> Report:
         "assignments": per_assignment,
     }
     if unknown:
-        return make_report("verify-reduction", "unknown", witness=detail, nodes=nodes, inputs=inputs)
+        return "unknown", detail, nodes
     sound = sound and (truth == (not family_has_eef))
-    return make_report("verify-reduction", "yes" if sound else "no",
-                       witness=detail, nodes=nodes, inputs=inputs)
+    return ("yes" if sound else "no"), detail, nodes
 
 
-def _cmd_verify_reduction(args) -> int:
-    text = _read(args.formula)
-    inputs = {args.formula: sha256_digest(text)}
-    started = time.perf_counter()
-    if args.which == "po":
-        report = _verify_po(args, inputs, text)
-    else:
-        report = _verify_eef(args, inputs, text)
-    wall_ms = (time.perf_counter() - started) * 1000
-    report.stats["wall_ms"] = wall_ms
-    return _emit(report)
+@_reporting
+def _cmd_verify_reduction(args, text: str):
+    return (_verify_po if args.which == "po" else _verify_eef)(args, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,22 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-leximin", parents=[], help="leximin-optimal allocation "
                        "for a max-atomic instance; with --K, decide whether the "
                        "optimum strictly beats the threshold vector")
-    p.add_argument("instance", help="instance document (JSON)")
+    p.add_argument("path", metavar="instance", help="instance document (JSON)")
     p.add_argument("--K", metavar="V1,V2,...",
                    help="comma-separated per-agent threshold utilities (ints or p/q)")
     p.set_defaults(func=_cmd_solve_leximin)
 
     p = sub.add_parser("check-pareto", help="is the document's allocation Pareto-optimal?")
-    p.add_argument("instance")
+    p.add_argument("path", metavar="instance")
     p.add_argument("--budget", type=int, help="search node budget")
     p.set_defaults(func=_cmd_check_pareto)
 
     p = sub.add_parser("check-envy", help="is the document's allocation envy-free?")
-    p.add_argument("instance")
+    p.add_argument("path", metavar="instance")
     p.set_defaults(func=_cmd_check_envy)
 
     p = sub.add_parser("find-eef", help="search for an envy-free Pareto-optimal allocation")
-    p.add_argument("instance")
+    p.add_argument("path", metavar="instance")
     p.add_argument("--budget", type=int, help="search node budget")
     p.set_defaults(func=_cmd_find_eef)
 
@@ -301,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-reduction", help="run a construction end to end on a "
                        "formula and check it against the direct decision procedure")
     p.add_argument("which", choices=("po", "eef"))
-    p.add_argument("formula")
+    p.add_argument("path", metavar="formula")
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--all-flags", action="store_true",
                    help="for eef: check envy-freeness of every template variant, "

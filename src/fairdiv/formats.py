@@ -182,12 +182,7 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     for i, row in enumerate(matrix_data):
         if not isinstance(row, list) or len(row) != len(resources):
             raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
-        values = [rational_from_json(v, f"document.matrix[{i}][{j}]") for j, v in enumerate(row)]
-        if kind == "max-atomic":
-            for j, v in enumerate(values):
-                if v.numerator < 0:      # an int compare; Fraction < 0 dispatches through the numbers ABC
-                    raise FormatError(f"document.matrix[{i}][{j}]: demands must be non-negative")
-        matrix.append(values)
+        matrix.append([rational_from_json(v, f"document.matrix[{i}][{j}]") for j, v in enumerate(row)])
 
     try:
         utilities = Additive(matrix) if kind == "additive" else MaxAtomic(matrix)
@@ -206,6 +201,9 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
                 raise FormatError(f"document.allocation: unknown resource id {rid!r}")
             if aid is None:
                 continue
+            if not isinstance(aid, str):
+                raise FormatError(f"document.allocation[{rid!r}]: expected an agent id or null, "
+                                  f"got {type(aid).__name__}")
             if aid not in agent_index:
                 raise FormatError(f"document.allocation[{rid!r}]: unknown agent id {aid!r}")
             owner[resource_index[rid]] = agent_index[aid]
@@ -243,7 +241,7 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
                     raise FormatError(f"document.roles.links[{key!r}].{field}: expected an int")
         try:
             mapping = ReductionMap.from_serialized(agent_roles, resource_roles, links, instance)
-        except (ContractError, KeyError) as e:
+        except ContractError as e:
             raise FormatError(f"document.roles: {e}") from None
 
     return InstanceDocument(instance, allocation, mapping)
@@ -252,23 +250,26 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
 # ---------------------------------------------------------------------------
 # DIMACS
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Standard DIMACS CNF: optional 'c' comment lines, one 'p cnf V C'
-    header, then 0-terminated clauses (which may span lines).  Clause sizes
-    are not restricted here — constructions that need 3CNF enforce their own
-    limit."""
+def _read_dimacs(text: str, quantified: bool) -> tuple[int, list[tuple[int, ...]], dict]:
+    """The one DIMACS reader: 'c' comment lines anywhere, one 'p cnf V C'
+    header, then 0-terminated clauses that may span lines.  With
+    ``quantified``, one 'a <vars> 0' line and then one 'e <vars> 0' line
+    must sit between the header and the first clause; otherwise such a line
+    is clause data with an unexpected token.  Returns the variable count,
+    the clauses and the quantifier blocks keyed by 'a' / 'e'."""
     num_vars: Optional[int] = None
     declared: Optional[int] = None
+    blocks: dict[str, list[int]] = {}
     clauses: list[tuple[int, ...]] = []
     lits: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
+        parts = line.split()
         if line[0] == "p":
             if num_vars is not None:
                 raise FormatError(f"line {lineno}: duplicate 'p cnf' header")
-            parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
             try:
@@ -278,13 +279,31 @@ def parse_dimacs(text: str) -> CnfFormula:
             if num_vars < 0 or declared < 0:
                 raise FormatError(f"line {lineno}: negative counts in header")
             continue
+        if quantified and parts[0] in ("a", "e"):
+            if num_vars is None:
+                raise FormatError(f"line {lineno}: quantifier line before the 'p cnf' header")
+            if clauses or lits:
+                raise FormatError(f"line {lineno}: quantifier line after clause data")
+            if parts[0] in blocks:
+                raise FormatError(f"line {lineno}: second {parts[0]!r} line")
+            if parts[0] == "a" and "e" in blocks:
+                raise FormatError(f"line {lineno}: the 'a' line must precede the 'e' line")
+            if parts[-1] != "0":
+                raise FormatError(f"line {lineno}: quantifier line is not terminated by 0")
+            block = blocks[parts[0]] = []
+            for token in parts[1:-1]:
+                v = _dimacs_int(token, lineno)
+                if not 1 <= v <= num_vars:
+                    raise FormatError(
+                        f"line {lineno}: variable {v} out of range for {num_vars} variables")
+                if v in block:
+                    raise FormatError(f"line {lineno}: variable {v} quantified twice")
+                block.append(v)
+            continue
         if num_vars is None:
             raise FormatError(f"line {lineno}: clause data before the 'p cnf' header")
-        for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise FormatError(f"line {lineno}: unexpected token {token!r}") from None
+        for token in parts:
+            lit = _dimacs_int(token, lineno)
             if lit == 0:
                 if not lits:
                     raise FormatError(f"line {lineno}: empty clause")
@@ -297,10 +316,28 @@ def parse_dimacs(text: str) -> CnfFormula:
                 lits.append(lit)
     if num_vars is None:
         raise FormatError("missing 'p cnf' header")
+    if quantified:
+        for q in ("a", "e"):
+            if q not in blocks:
+                raise FormatError(f"missing {q!r} quantifier line")
     if lits:
         raise FormatError("last clause is not terminated by 0")
     if len(clauses) != declared:
         raise FormatError(f"header declares {declared} clauses, found {len(clauses)}")
+    return num_vars, clauses, blocks
+
+
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"line {lineno}: unexpected token {token!r}") from None
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Standard DIMACS CNF (see ``_read_dimacs``).  Clause sizes are not
+    restricted here — constructions that need 3CNF enforce their own limit."""
+    num_vars, clauses, _ = _read_dimacs(text, quantified=False)
     return CnfFormula(num_vars, clauses)
 
 
@@ -308,94 +345,12 @@ def parse_ae_dimacs(text: str) -> AEFormula:
     """DIMACS with quantifier lines: after the 'p cnf' header, exactly one
     'a <vars> 0' line, then exactly one 'e <vars> 0' line, then clauses.
     Every variable must be quantified exactly once."""
-    num_vars: Optional[int] = None
-    declared: Optional[int] = None
-    forall: Optional[list[int]] = None
-    exists: Optional[list[int]] = None
-    clauses: list[tuple[int, ...]] = []
-    lits: list[int] = []
-
-    def parse_block(parts: list[str], lineno: int) -> list[int]:
-        if parts[-1] != "0":
-            raise FormatError(f"line {lineno}: quantifier line is not terminated by 0")
-        block = []
-        for token in parts[1:-1]:
-            try:
-                v = int(token)
-            except ValueError:
-                raise FormatError(f"line {lineno}: unexpected token {token!r}") from None
-            if not 1 <= v <= num_vars:
-                raise FormatError(f"line {lineno}: variable {v} out of range for {num_vars} variables")
-            if v in block:
-                raise FormatError(f"line {lineno}: variable {v} quantified twice")
-            block.append(v)
-        return block
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line[0] == "c":
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vars is not None:
-                raise FormatError(f"line {lineno}: duplicate 'p cnf' header")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                num_vars, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 0 or declared < 0:
-                raise FormatError(f"line {lineno}: negative counts in header")
-            continue
-        if parts[0] in ("a", "e"):
-            if num_vars is None:
-                raise FormatError(f"line {lineno}: quantifier line before the 'p cnf' header")
-            if clauses or lits:
-                raise FormatError(f"line {lineno}: quantifier line after clause data")
-            if parts[0] == "a":
-                if forall is not None:
-                    raise FormatError(f"line {lineno}: second 'a' line")
-                if exists is not None:
-                    raise FormatError(f"line {lineno}: the 'a' line must precede the 'e' line")
-                forall = parse_block(parts, lineno)
-            else:
-                if exists is not None:
-                    raise FormatError(f"line {lineno}: second 'e' line")
-                exists = parse_block(parts, lineno)
-            continue
-        if num_vars is None:
-            raise FormatError(f"line {lineno}: clause data before the 'p cnf' header")
-        for token in parts:
-            try:
-                lit = int(token)
-            except ValueError:
-                raise FormatError(f"line {lineno}: unexpected token {token!r}") from None
-            if lit == 0:
-                if not lits:
-                    raise FormatError(f"line {lineno}: empty clause")
-                clauses.append(tuple(lits))
-                lits = []
-            else:
-                if abs(lit) > num_vars:
-                    raise FormatError(
-                        f"line {lineno}: literal {lit} out of range for {num_vars} variables")
-                lits.append(lit)
-    if num_vars is None:
-        raise FormatError("missing 'p cnf' header")
-    if forall is None:
-        raise FormatError("missing 'a' quantifier line")
-    if exists is None:
-        raise FormatError("missing 'e' quantifier line")
-    if lits:
-        raise FormatError("last clause is not terminated by 0")
-    if len(clauses) != declared:
-        raise FormatError(f"header declares {declared} clauses, found {len(clauses)}")
-    overlap = set(forall) & set(exists)
+    num_vars, clauses, blocks = _read_dimacs(text, quantified=True)
+    overlap = set(blocks["a"]) & set(blocks["e"])
     if overlap:
         raise FormatError(f"variable {min(overlap)} quantified in both blocks")
     try:
-        return AEFormula(num_vars, forall, exists, clauses)
+        return AEFormula(num_vars, blocks["a"], blocks["e"], clauses)
     except ContractError as e:
         raise FormatError(str(e)) from None
 

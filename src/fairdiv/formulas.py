@@ -20,10 +20,6 @@ def literal_variable(lit: int) -> int:
     return abs(lit)
 
 
-def negated(lit: int) -> int:
-    return -lit
-
-
 def literal_holds(lit: int, value: bool) -> bool:
     """Truth of a literal given its variable's value."""
     return value if lit > 0 else not value

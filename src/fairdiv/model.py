@@ -7,11 +7,11 @@ tolerance checks.  All types are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 class ContractError(ValueError):
@@ -195,31 +195,11 @@ class Allocation:
     def empty(cls, num_resources: int) -> "Allocation":
         return cls((None,) * num_resources)
 
-    @classmethod
-    def from_map(cls, owner_by_resource: Mapping[int, Optional[int]], num_resources: int) -> "Allocation":
-        owner: list[Optional[int]] = [None] * num_resources
-        for j, who in owner_by_resource.items():
-            if not 0 <= j < num_resources:
-                raise ContractError(f"resource index {j} out of range")
-            owner[j] = who
-        return cls(owner)
-
-    def as_map(self) -> dict[int, Optional[int]]:
-        return dict(enumerate(self.owner))
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((who, j) for j, who in enumerate(self.owner) if who is not None)
 
     def bundle(self, agent: int) -> tuple[int, ...]:
         return tuple(j for j, who in enumerate(self.owner) if who == agent)
-
-    def move(self, resource: int, agent: Optional[int]) -> "Allocation":
-        """Functional update: reassign one resource."""
-        if not 0 <= resource < len(self.owner):
-            raise ContractError(f"resource index {resource} out of range")
-        owner = list(self.owner)
-        owner[resource] = agent
-        return Allocation(owner)
 
 
 def _check_allocation(instance: Instance, allocation: Allocation) -> None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        literal_holds)
@@ -118,17 +117,9 @@ def brute_force_leximin(instance: Instance, max_states: int = 2_000_000) -> tupl
     if states > max_states:
         raise SearchSpaceTooLarge(
             f"(n+1)^m = {states} exceeds the enumeration cap {max_states}")
-    matrix = instance.matrix
     additive = isinstance(instance.utilities, Additive)
-    # int fast path when the matrix is integral (the common test diet)
-    if all(v.denominator == 1 for row in matrix for v in row):
-        rows = [[int(v) for v in row] for row in matrix]
-        zero = 0
-    else:
-        rows = [list(row) for row in matrix]
-        zero = Fraction(0)
-
-    utils = [zero] * n
+    rows, _ = scaled_rows(instance)      # a positive scale keeps the leximin order and its ties
+    utils = [0] * n
     owner: list[Optional[int]] = [None] * m
     best_key: Optional[tuple] = None
     best_owner: Optional[tuple] = None

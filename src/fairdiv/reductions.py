@@ -23,6 +23,12 @@ Both constructions are paired with explicit improvement procedures
 (``construct_improvement_po`` / ``construct_improvement_eef``) that turn a
 satisfying assignment into a dominating allocation, which is how the forward
 directions are certified in tests without any search.
+
+Every agent and resource of a gadget carries a role and a link (the clause,
+literal or variable it stands for).  ``ROLES`` is the one place where roles
+are defined: it gives each role the tag and link fields of its structured
+key, and both the gadget builder and ``ReductionMap.from_serialized`` derive
+keys from it.
 """
 
 from __future__ import annotations
@@ -37,32 +43,50 @@ from .formulas import (AEFormula, CnfFormula, PartialAssignment,
                        is_assignment_over, literal_holds, literal_variable)
 from .model import Additive, Allocation, ContractError, Instance, as_rational
 
-# agent roles
-ROLE_CLAUSE_AGENT = "clause"
-ROLE_ASSIGNMENT = "assignment"
-ROLE_EXISTENTIAL_ASSIGNMENT = "existential-assignment"
-ROLE_UNIVERSAL_ASSIGNMENT = "universal-assignment"
-ROLE_ASSIGNMENT_HELPER = "universal-assignment-helper"
-ROLE_ENVY_PROTECTION = "envy-protection"
-ROLE_UNASSIGNED = "unassigned"
-ROLE_UNASSIGNED_EP = "unassigned-envy-protection"
-ROLE_SATISFIED = "satisfied"
+# role -> (tag, link fields): an id's structured key is (tag, *link values),
+# so the role and link a document carries are enough to rebuild it
+ROLES = {
+    "agent": {
+        "clause": ("clause", ("clause",)),
+        "assignment": ("set", ("literal",)),
+        "existential-assignment": ("set", ("literal",)),
+        "universal-assignment": ("set", ("literal",)),
+        "universal-assignment-helper": ("helper", ("literal",)),
+        "envy-protection": ("ep", ("clause", "literal")),
+        "unassigned": ("unassigned", ()),
+        "unassigned-envy-protection": ("unassigned_ep", ()),
+        "satisfied": ("satisfied", ()),
+    },
+    "resource": {
+        "variable": ("var", ("variable",)),
+        "universal-variable": ("var", ("variable",)),
+        "existential-variable": ("var", ("variable",)),
+        "universal-variable-compensation": ("var_comp", ("variable",)),
+        "clause": ("clause", ("clause",)),
+        "clause-compensation": ("clause_comp", ("clause",)),
+        "literal": ("lit", ("clause", "literal")),
+        "universal-literal": ("lit", ("clause", "literal")),
+        "existential-literal": ("lit", ("clause", "literal")),
+        "assignment-helper": ("helper", ("literal",)),
+        "literal-envy-protection": ("lit_ep", ("clause", "literal")),
+        "satisfied": ("satisfied", ()),
+        "envy-anchor-1": ("envy1", ()),
+        "envy-anchor-2": ("envy2", ()),
+    },
+}
 
-# resource roles
-ROLE_VARIABLE = "variable"
-ROLE_UNIVERSAL_VARIABLE = "universal-variable"
-ROLE_EXISTENTIAL_VARIABLE = "existential-variable"
-ROLE_VARIABLE_COMP = "universal-variable-compensation"
-ROLE_CLAUSE_RESOURCE = "clause"
-ROLE_CLAUSE_COMP = "clause-compensation"
-ROLE_LITERAL = "literal"
-ROLE_UNIVERSAL_LITERAL = "universal-literal"
-ROLE_EXISTENTIAL_LITERAL = "existential-literal"
-ROLE_HELPER_RESOURCE = "assignment-helper"
-ROLE_LITERAL_EP = "literal-envy-protection"
-ROLE_SATISFIED_RESOURCE = "satisfied"
-ROLE_ENVY_ANCHOR_1 = "envy-anchor-1"
-ROLE_ENVY_ANCHOR_2 = "envy-anchor-2"
+
+def _structured_key(side: str, role: str, link: Mapping) -> tuple:
+    """The structured key of an id with ``role`` on ``side`` ("agent" or
+    "resource") and ``link``, from ``ROLES``."""
+    try:
+        tag, fields = ROLES[side][role]
+    except KeyError:
+        raise ContractError(f"unknown {side} role {role!r}") from None
+    try:
+        return (tag, *map(link.__getitem__, fields))
+    except KeyError as e:
+        raise ContractError(f"{side} role {role!r} needs link field {e.args[0]!r}") from None
 
 
 def _lit_id(lit: int) -> str:
@@ -92,59 +116,13 @@ class ReductionMap:
     def resource(self, *key) -> int:
         return self.resource_key[key]
 
-    @staticmethod
-    def _agent_structured_key(role: str, link: Mapping) -> tuple:
-        if role == ROLE_CLAUSE_AGENT:
-            return ("clause", link["clause"])
-        if role in (ROLE_ASSIGNMENT, ROLE_EXISTENTIAL_ASSIGNMENT, ROLE_UNIVERSAL_ASSIGNMENT):
-            return ("set", link["literal"])
-        if role == ROLE_ASSIGNMENT_HELPER:
-            return ("helper", link["literal"])
-        if role == ROLE_ENVY_PROTECTION:
-            return ("ep", link["clause"], link["literal"])
-        if role == ROLE_UNASSIGNED:
-            return ("unassigned",)
-        if role == ROLE_UNASSIGNED_EP:
-            return ("unassigned_ep",)
-        if role == ROLE_SATISFIED:
-            return ("satisfied",)
-        raise ContractError(f"unknown agent role {role!r}")
-
-    @staticmethod
-    def _resource_structured_key(role: str, link: Mapping) -> tuple:
-        if role in (ROLE_VARIABLE, ROLE_UNIVERSAL_VARIABLE, ROLE_EXISTENTIAL_VARIABLE):
-            return ("var", link["variable"])
-        if role == ROLE_VARIABLE_COMP:
-            return ("var_comp", link["variable"])
-        if role == ROLE_CLAUSE_RESOURCE:
-            return ("clause", link["clause"])
-        if role == ROLE_CLAUSE_COMP:
-            return ("clause_comp", link["clause"])
-        if role in (ROLE_LITERAL, ROLE_UNIVERSAL_LITERAL, ROLE_EXISTENTIAL_LITERAL):
-            return ("lit", link["clause"], link["literal"])
-        if role == ROLE_LITERAL_EP:
-            return ("lit_ep", link["clause"], link["literal"])
-        if role == ROLE_HELPER_RESOURCE:
-            return ("helper", link["literal"])
-        if role == ROLE_SATISFIED_RESOURCE:
-            return ("satisfied",)
-        if role == ROLE_ENVY_ANCHOR_1:
-            return ("envy1",)
-        if role == ROLE_ENVY_ANCHOR_2:
-            return ("envy2",)
-        raise ContractError(f"unknown resource role {role!r}")
-
     @classmethod
     def from_serialized(cls, agent_roles: Mapping[str, str], resource_roles: Mapping[str, str],
                         links: Mapping[str, Mapping], instance: Instance) -> "ReductionMap":
-        agent_key = {}
-        for idx, aid in enumerate(instance.agents):
-            if aid in agent_roles:
-                agent_key[cls._agent_structured_key(agent_roles[aid], links.get(aid, {}))] = idx
-        resource_key = {}
-        for idx, rid in enumerate(instance.resources):
-            if rid in resource_roles:
-                resource_key[cls._resource_structured_key(resource_roles[rid], links.get(rid, {}))] = idx
+        agent_key = {_structured_key("agent", agent_roles[aid], links.get(aid, {})): idx
+                     for idx, aid in enumerate(instance.agents) if aid in agent_roles}
+        resource_key = {_structured_key("resource", resource_roles[rid], links.get(rid, {})): idx
+                        for idx, rid in enumerate(instance.resources) if rid in resource_roles}
         return cls(dict(agent_roles), dict(resource_roles), {k: dict(v) for k, v in links.items()},
                    agent_key, resource_key)
 
@@ -162,23 +140,19 @@ class _GadgetBuilder:
         self.resource_key: dict = {}
         self.coeff: dict = {}          # (agent index, resource index) -> Fraction
 
-    def add_agent(self, aid: str, role: str, key: tuple, **link) -> int:
-        idx = len(self.agent_ids)
+    def add_agent(self, aid: str, role: str, **link) -> None:
+        self.agent_key[_structured_key("agent", role, link)] = len(self.agent_ids)
         self.agent_ids.append(aid)
         self.agent_roles[aid] = role
         if link:
-            self.links[aid] = dict(link)
-        self.agent_key[key] = idx
-        return idx
+            self.links[aid] = link
 
-    def add_resource(self, rid: str, role: str, key: tuple, **link) -> int:
-        idx = len(self.resource_ids)
+    def add_resource(self, rid: str, role: str, **link) -> None:
+        self.resource_key[_structured_key("resource", role, link)] = len(self.resource_ids)
         self.resource_ids.append(rid)
         self.resource_roles[rid] = role
         if link:
-            self.links[rid] = dict(link)
-        self.resource_key[key] = idx
-        return idx
+            self.links[rid] = link
 
     def set(self, agent_key: tuple, resource_key: tuple, value) -> None:
         cell = (self.agent_key[agent_key], self.resource_key[resource_key])
@@ -228,22 +202,21 @@ def reduce_3cnf_to_po(formula: CnfFormula) -> PoReduction:
     b = _GadgetBuilder()
 
     for k in range(len(clauses)):
-        b.add_agent(f"a:c{k + 1}", ROLE_CLAUSE_AGENT, ("clause", k), clause=k)
+        b.add_agent(f"a:c{k + 1}", "clause", clause=k)
     for v in range(1, w + 1):
         for lit in (v, -v):
-            b.add_agent(f"a:set({_lit_id(lit)})", ROLE_ASSIGNMENT, ("set", lit), literal=lit)
-    b.add_agent("a:unassigned", ROLE_UNASSIGNED, ("unassigned",))
-    b.add_agent("a:satisfied", ROLE_SATISFIED, ("satisfied",))
+            b.add_agent(f"a:set({_lit_id(lit)})", "assignment", literal=lit)
+    b.add_agent("a:unassigned", "unassigned")
+    b.add_agent("a:satisfied", "satisfied")
 
     for v in range(1, w + 1):
-        b.add_resource(f"o:x{v}", ROLE_VARIABLE, ("var", v), variable=v)
+        b.add_resource(f"o:x{v}", "variable", variable=v)
     for k in range(len(clauses)):
-        b.add_resource(f"o:c{k + 1}", ROLE_CLAUSE_RESOURCE, ("clause", k), clause=k)
+        b.add_resource(f"o:c{k + 1}", "clause", clause=k)
     for k, clause in enumerate(clauses):
         for lit in clause:
-            b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", ROLE_LITERAL, ("lit", k, lit),
-                           clause=k, literal=lit)
-    b.add_resource("o:satisfied", ROLE_SATISFIED_RESOURCE, ("satisfied",))
+            b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", "literal", clause=k, literal=lit)
+    b.add_resource("o:satisfied", "satisfied")
 
     # variable resources: worth 1 to the unassigned agent, and to each
     # polarity's assignment agent as much as that literal occurs
@@ -324,14 +297,10 @@ class EefReduction:
     big_m: Fraction
 
 
-def _require_both_polarities(formula: AEFormula) -> None:
-    for v in range(1, formula.num_vars + 1):
-        has_pos = any(v in c for c in formula.clauses)
-        has_neg = any(-v in c for c in formula.clauses)
-        if not (has_pos and has_neg):
-            raise ContractError(
-                f"variable {v} does not occur in both polarities; "
-                f"apply augment_both_polarities first")
+def _unbalanced_variables(formula: Union[CnfFormula, AEFormula]) -> list[int]:
+    """Variables that do not occur in both polarities, in order."""
+    literals = {lit for clause in formula.clauses for lit in clause}
+    return [v for v in range(1, formula.num_vars + 1) if v not in literals or -v not in literals]
 
 
 def augment_both_polarities(
@@ -346,19 +315,14 @@ def augment_both_polarities(
     the tuple of clauses that were added; idempotent, so a second call adds
     nothing.
     """
-    extra = []
-    for v in range(1, formula.num_vars + 1):
-        has_pos = any(v in c for c in formula.clauses)
-        has_neg = any(-v in c for c in formula.clauses)
-        if not (has_pos and has_neg):
-            extra.append((-v, v))
+    extra = tuple((-v, v) for v in _unbalanced_variables(formula))
     if not extra:
         return formula, ()
-    clauses = formula.clauses + tuple(extra)
+    clauses = formula.clauses + extra
     if isinstance(formula, AEFormula):
         return AEFormula(formula.num_vars, formula.forall_vars,
-                         formula.exists_vars, clauses), tuple(extra)
-    return CnfFormula(formula.num_vars, clauses), tuple(extra)
+                         formula.exists_vars, clauses), extra
+    return CnfFormula(formula.num_vars, clauses), extra
 
 
 def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> EefReduction:
@@ -376,7 +340,10 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
     literal occurrences and Lu only universal ones.
     """
     _check_clause_sizes(formula.clauses)
-    _require_both_polarities(formula)
+    unbalanced = _unbalanced_variables(formula)
+    if unbalanced:
+        raise ContractError(f"variable {unbalanced[0]} does not occur in both polarities; "
+                            f"apply augment_both_polarities first")
     clauses = formula.clauses
     forall_vars = formula.forall_vars
     exists_vars = formula.exists_vars
@@ -389,48 +356,46 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
 
     b = _GadgetBuilder()
     for k in range(len(clauses)):
-        b.add_agent(f"a:c{k + 1}", ROLE_CLAUSE_AGENT, ("clause", k), clause=k)
+        b.add_agent(f"a:c{k + 1}", "clause", clause=k)
     for v in forall_vars:
         for lit in (v, -v):
-            b.add_agent(f"a:set({_lit_id(lit)})", ROLE_UNIVERSAL_ASSIGNMENT, ("set", lit), literal=lit)
+            b.add_agent(f"a:set({_lit_id(lit)})", "universal-assignment", literal=lit)
         for lit in (v, -v):
-            b.add_agent(f"a:set({_lit_id(lit)}):helper", ROLE_ASSIGNMENT_HELPER,
-                        ("helper", lit), literal=lit)
+            b.add_agent(f"a:set({_lit_id(lit)}):helper", "universal-assignment-helper", literal=lit)
     for v in exists_vars:
         for lit in (v, -v):
-            b.add_agent(f"a:set({_lit_id(lit)})", ROLE_EXISTENTIAL_ASSIGNMENT, ("set", lit), literal=lit)
+            b.add_agent(f"a:set({_lit_id(lit)})", "existential-assignment", literal=lit)
     for k, clause in enumerate(clauses):
         for lit in clause:
             if literal_variable(lit) in universal:
-                b.add_agent(f"a:ep(c{k + 1},{_lit_id(lit)})", ROLE_ENVY_PROTECTION,
-                            ("ep", k, lit), clause=k, literal=lit)
-    b.add_agent("a:unassigned", ROLE_UNASSIGNED, ("unassigned",))
-    b.add_agent("a:unassigned:ep", ROLE_UNASSIGNED_EP, ("unassigned_ep",))
-    b.add_agent("a:satisfied", ROLE_SATISFIED, ("satisfied",))
+                b.add_agent(f"a:ep(c{k + 1},{_lit_id(lit)})", "envy-protection",
+                            clause=k, literal=lit)
+    b.add_agent("a:unassigned", "unassigned")
+    b.add_agent("a:unassigned:ep", "unassigned-envy-protection")
+    b.add_agent("a:satisfied", "satisfied")
 
     for v in forall_vars:
-        b.add_resource(f"o:x{v}", ROLE_UNIVERSAL_VARIABLE, ("var", v), variable=v)
-        b.add_resource(f"o:x{v}:comp", ROLE_VARIABLE_COMP, ("var_comp", v), variable=v)
+        b.add_resource(f"o:x{v}", "universal-variable", variable=v)
+        b.add_resource(f"o:x{v}:comp", "universal-variable-compensation", variable=v)
         for lit in (v, -v):
-            b.add_resource(f"o:set({_lit_id(lit)}):helper", ROLE_HELPER_RESOURCE,
-                           ("helper", lit), literal=lit)
+            b.add_resource(f"o:set({_lit_id(lit)}):helper", "assignment-helper", literal=lit)
     for v in exists_vars:
-        b.add_resource(f"o:x{v}", ROLE_EXISTENTIAL_VARIABLE, ("var", v), variable=v)
+        b.add_resource(f"o:x{v}", "existential-variable", variable=v)
     for k in range(len(clauses)):
-        b.add_resource(f"o:c{k + 1}", ROLE_CLAUSE_RESOURCE, ("clause", k), clause=k)
-        b.add_resource(f"o:c{k + 1}:comp", ROLE_CLAUSE_COMP, ("clause_comp", k), clause=k)
+        b.add_resource(f"o:c{k + 1}", "clause", clause=k)
+        b.add_resource(f"o:c{k + 1}:comp", "clause-compensation", clause=k)
     for k, clause in enumerate(clauses):
         for lit in clause:
-            role = ROLE_UNIVERSAL_LITERAL if literal_variable(lit) in universal else ROLE_EXISTENTIAL_LITERAL
-            b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", role, ("lit", k, lit), clause=k, literal=lit)
+            role = "universal-literal" if literal_variable(lit) in universal else "existential-literal"
+            b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", role, clause=k, literal=lit)
     for k, clause in enumerate(clauses):
         for lit in clause:
             if literal_variable(lit) in universal:
-                b.add_resource(f"o:c{k + 1},{_lit_id(lit)}:ep", ROLE_LITERAL_EP,
-                               ("lit_ep", k, lit), clause=k, literal=lit)
-    b.add_resource("o:satisfied", ROLE_SATISFIED_RESOURCE, ("satisfied",))
-    b.add_resource("o:envy1", ROLE_ENVY_ANCHOR_1, ("envy1",))
-    b.add_resource("o:envy2", ROLE_ENVY_ANCHOR_2, ("envy2",))
+                b.add_resource(f"o:c{k + 1},{_lit_id(lit)}:ep", "literal-envy-protection",
+                               clause=k, literal=lit)
+    b.add_resource("o:satisfied", "satisfied")
+    b.add_resource("o:envy1", "envy-anchor-1")
+    b.add_resource("o:envy2", "envy-anchor-2")
 
     # ordinary (non-M) coefficients first, so the default M can dominate them
     for k, clause in enumerate(clauses):

@@ -299,6 +299,16 @@ def test_oversized_matrix_entries_exit_3(tmp_path, capsys, cell):
     assert code == 3 and "document.matrix[0][1]" in err
 
 
+@pytest.mark.parametrize("holder", ['["a"]', "{}"], ids=["list", "object"])
+def test_non_string_allocation_holder_exits_3(tmp_path, capsys, holder):
+    path = tmp_path / "i.json"
+    path.write_text('{"kind": "additive", "agents": ["a"], "resources": ["o"], '
+                    f'"matrix": [[1]], "allocation": {{"o": {holder}}}}}')
+    code, report, err = run(capsys, ["check-envy", str(path)])
+    assert code == 3 and report is None
+    assert "document.allocation['o']" in err
+
+
 def test_oversized_threshold_token_exits_3(tmp_path, capsys):
     path = write_doc(tmp_path, "i.json", max_atomic_instance([[5, 3], [4, 1]]))
     code, _, err = run(capsys, ["solve-leximin", path, "--K", f"1,1/{LONG_DIGITS}"])

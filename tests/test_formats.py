@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     AEFormula,
@@ -10,6 +12,7 @@ from fairdiv import (
     CnfFormula,
     FormatError,
     InstanceDocument,
+    ReductionMap,
     additive_instance,
     exit_code,
     max_atomic_instance,
@@ -22,6 +25,7 @@ from fairdiv import (
 )
 from fairdiv.formats import (
     allocation_to_json,
+    document_to_dict,
     make_report,
     rational_from_json,
     rational_from_text,
@@ -112,9 +116,9 @@ def test_round_trip_preserves_reduction_roles():
     assert parsed.mapping.agent_roles == reduction.mapping.agent_roles
     assert parsed.mapping.resource_roles == reduction.mapping.resource_roles
     assert parsed.mapping.links == reduction.mapping.links
-    # structured lookup works after the round trip
-    assert parsed.mapping.agent("set", -3) == reduction.mapping.agent("set", -3)
-    assert parsed.mapping.resource("lit", 0, 2) == reduction.mapping.resource("lit", 0, 2)
+    # every structured key is rebuilt from the roles and links alone
+    assert parsed.mapping.agent_key == reduction.mapping.agent_key
+    assert parsed.mapping.resource_key == reduction.mapping.resource_key
 
 
 def test_round_trip_eef_reduction_roles():
@@ -122,8 +126,23 @@ def test_round_trip_eef_reduction_roles():
     doc = InstanceDocument(reduction.instance, None, reduction.mapping)
     parsed = parse_instance(serialize_instance(doc))
     assert parsed.instance == reduction.instance
-    assert parsed.mapping.resource("envy2") == reduction.mapping.resource("envy2")
-    assert parsed.mapping.agent("ep", 0, 1) == reduction.mapping.agent("ep", 0, 1)
+    assert parsed.mapping.agent_roles == reduction.mapping.agent_roles
+    assert parsed.mapping.resource_roles == reduction.mapping.resource_roles
+    assert parsed.mapping.links == reduction.mapping.links
+    assert parsed.mapping.agent_key == reduction.mapping.agent_key
+    assert parsed.mapping.resource_key == reduction.mapping.resource_key
+
+
+def test_roles_missing_a_link_field_name_the_role_and_the_field():
+    reduction = reduce_3cnf_to_po(EXAMPLE_CNF)
+    data = json.loads(serialize_instance(
+        InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)))
+    del data["roles"]["links"]["a:c1"]
+    with pytest.raises(FormatError, match="agent role 'clause' needs link field 'clause'"):
+        parse_instance(json.dumps(data))
+    with pytest.raises(ContractError, match="resource role 'literal' needs link field 'literal'"):
+        ReductionMap.from_serialized({}, {"o:c1,x1": "literal"}, {"o:c1,x1": {"clause": 0}},
+                                     reduction.instance)
 
 
 def test_parse_minimal_document():
@@ -159,8 +178,8 @@ def test_parse_errors_name_the_offending_path():
 
 def test_parse_rejects_negative_demands_for_max_atomic():
     text = json.dumps({"kind": "max-atomic", "agents": ["a"],
-                       "resources": ["o"], "matrix": [[-1]]})
-    with pytest.raises(FormatError):
+                       "resources": ["o", "p"], "matrix": [[1, -1]]})
+    with pytest.raises(FormatError, match=r"\[0\]\[1\]: demands must be non-negative"):
         parse_instance(text)
 
 
@@ -174,6 +193,9 @@ def test_parse_allocation_validation():
         parse_instance(json.dumps(dict(base, allocation={"o": "nobody"})))
     with pytest.raises(FormatError, match="allocation"):
         parse_instance(json.dumps(dict(base, allocation={"mystery": "a"})))
+    for holder in (["a"], {}, 0):
+        with pytest.raises(FormatError, match=r"document\.allocation\['o'\]"):
+            parse_instance(json.dumps(dict(base, allocation={"o": holder})))
 
 
 def test_parse_not_json_at_all():
@@ -221,9 +243,12 @@ def test_parse_dimacs_errors():
         "p cnf 2 1\n0\n",                # empty clause
         "p cnf 2 1\nx1 0\n",             # junk token
         "p cnf -1 0\n",                  # bad header numbers
+        "p cnf 2 1\na 1 0\n1 2 0\n",      # quantifier line in plain DIMACS
     ):
         with pytest.raises(FormatError):
             parse_dimacs(text)
+    with pytest.raises(FormatError, match="line 2: unexpected token 'a'"):
+        parse_dimacs("p cnf 2 1\na 1 0\n1 2 0\n")
 
 
 def test_parse_ae_dimacs_example():
@@ -243,9 +268,129 @@ def test_parse_ae_dimacs_errors():
         "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\na 1 0\n",   # quantifier after clauses
         "p cnf 2 1\na 1 0\na 1 0\ne 2 0\n1 2 0\n",   # duplicate forall block
         "p cnf 2 1\na 1 1 0\ne 2 0\n1 2 0\n",    # duplicate within the block
+        "a 1 0\np cnf 2 1\ne 2 0\n1 2 0\n",      # quantifier before the header
+        "p cnf 2 1\na 1\ne 2 0\n1 2 0\n",        # quantifier line not terminated
+        "p cnf 2 1\na 3 0\ne 2 0\n1 2 0\n",      # quantified variable out of range
     ):
         with pytest.raises(FormatError):
             parse_ae_dimacs(text)
+
+
+def _dimacs_lines(clauses, rng):
+    """Clause lines with each clause split across lines at random points."""
+    tokens = [str(t) for clause in clauses for t in (*clause, 0)]
+    lines, line = [], []
+    for token in tokens:
+        line.append(token)
+        if rng.random() < 0.4:
+            lines.append(" ".join(line))
+            line = []
+    return lines + ([" ".join(line)] if line else [])
+
+
+@st.composite
+def ae_dimacs_texts(draw):
+    """(AE-DIMACS text, the same text without its quantifier lines, the
+    forall block), with comments between all the parts."""
+    num_vars = draw(st.integers(1, 5))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=6))
+    forall = sorted(draw(st.sets(st.integers(1, num_vars))))
+    exists = [v for v in range(1, num_vars + 1) if v not in forall]
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    comment = st.sampled_from([[], ["c"], ["c between", "", "c   x"]])
+    header = draw(comment) + [f"p cnf {num_vars} {len(clauses)}"] + draw(comment)
+    quantifiers = [f"a {' '.join(map(str, forall))} 0"] + draw(comment)
+    quantifiers += [f"e {' '.join(map(str, exists))} 0"] + draw(comment)
+    body = _dimacs_lines(clauses, rng)
+    return ("\n".join(header + quantifiers + body), "\n".join(header + body), forall)
+
+
+@given(ae_dimacs_texts())
+def test_ae_dimacs_minus_quantifiers_reads_as_plain_dimacs(texts):
+    ae_text, plain_text, forall = texts
+    formula = parse_ae_dimacs(ae_text)
+    assert formula.cnf() == parse_dimacs(plain_text)
+    assert formula.forall_vars == tuple(forall)
+
+
+JUNK_LINES = st.sampled_from(["p cnf 3 2", "p cnf -1 1", "p cnf x 1", "pcnf", "a 1 0", "a 1",
+                              "e 2 3 0", "e 0", "1 -2 0", "9 0", "0", "c", "", "1 2", "x 0"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.sampled_from(["a0", "o0", "1/2", "-3", "1/0", "clause", "literal"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def corrupted_dimacs_texts(draw):
+    """A valid DIMACS or AE-DIMACS text with up to three lines inserted,
+    replaced or deleted."""
+    lines = draw(ae_dimacs_texts())[draw(st.integers(0, 1))].split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        junk = draw(JUNK_LINES | st.text(max_size=8))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "insert" or k == len(lines):
+            lines.insert(k, junk)
+        elif action == "replace":
+            lines[k] = junk
+        else:
+            del lines[k]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(corrupted_dimacs_texts() | st.text(max_size=40))
+def test_dimacs_parsers_raise_only_format_errors(text):
+    for parse in (parse_dimacs, parse_ae_dimacs):
+        try:
+            parse(text)
+        except FormatError:
+            pass
+
+
+def _slots(node):
+    """Every (container, key) pair inside a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid instance document, sometimes with an allocation and roles,
+    with up to two values replaced by arbitrary JSON or deleted."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    agents, resources = [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)]
+    cell = st.integers(0, 3) | st.sampled_from(["1/2", "2/4"])
+    doc = {"kind": draw(st.sampled_from(["additive", "max-atomic"])), "agents": agents,
+           "resources": resources, "matrix": [[draw(cell) for _ in resources] for _ in agents]}
+    if draw(st.booleans()):
+        doc["allocation"] = {r: draw(st.sampled_from([None, *agents])) for r in resources}
+    if draw(st.booleans()):
+        reduction = reduce_3cnf_to_po(CnfFormula(1, [[1]]))
+        doc = document_to_dict(InstanceDocument(reduction.instance, reduction.baseline,
+                                                reduction.mapping))
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300)
+@given(corrupted_documents() | st.text(max_size=40))
+def test_parse_instance_raises_only_format_errors(text):
+    try:
+        parse_instance(text)
+    except FormatError:
+        pass
 
 
 # ---------------------------------------------------------------------------

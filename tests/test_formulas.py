@@ -8,15 +8,12 @@ from fairdiv.formulas import (
     is_assignment_over,
     literal_holds,
     literal_variable,
-    negated,
 )
 from fairdiv.model import ContractError
 
 
 def test_literal_helpers():
     assert literal_variable(-3) == 3
-    assert negated(2) == -2
-    assert negated(-2) == 2
     assert literal_holds(4, True)
     assert literal_holds(-4, False)
     assert not literal_holds(-4, True)

@@ -113,17 +113,6 @@ def test_allocation_validation():
     alloc = Allocation([None, 0])
     assert alloc.bundle(0) == (1,)
     assert alloc.pairs() == ((0, 1),)
-    assert alloc.move(0, 1).owner == (1, 0)
-    with pytest.raises(ContractError):
-        alloc.move(5, 0)
-
-
-def test_allocation_from_map_round_trip():
-    alloc = Allocation.from_map({2: 1, 0: None}, num_resources=3)
-    assert alloc.owner == (None, None, 1)
-    assert alloc.as_map() == {0: None, 1: None, 2: 1}
-    with pytest.raises(ContractError):
-        Allocation.from_map({3: 0}, num_resources=3)
 
 
 def test_allocation_must_fit_instance():
