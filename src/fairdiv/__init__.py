@@ -14,7 +14,7 @@ from .oracles import (DEFAULT_BUDGET, SearchBudget, SearchSpaceTooLarge,
                       TriVerdict, VerdictKind, ae3cnf_eval, brute_force_eef,
                       brute_force_leximin, dominating_allocation_by_enumeration,
                       find_dominating_allocation, is_pareto_optimal,
-                      sat_on_partial)
+                      sat_by_enumeration, sat_on_partial)
 from .reductions import (EefReduction, PoReduction, ReductionMap,
                          augment_both_polarities, build_x_forall_allocation,
                          construct_improvement_eef, construct_improvement_po,

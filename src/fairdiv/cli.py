@@ -12,6 +12,8 @@ FAIRDIV_BUDGET environment variable, falling back to 10^7 nodes.
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
 import os
 import sys
 import time
@@ -25,10 +27,9 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
 from .model import ContractError, UtilityVector, find_envy, utility_vector
 from .oracles import (SearchBudget, brute_force_eef, find_dominating_allocation,
                       is_pareto_optimal, sat_on_partial, ae3cnf_eval)
-from .reductions import (augment_both_polarities, build_x_forall_allocation,
-                         construct_improvement_eef, construct_improvement_po,
-                         reduce_3cnf_to_po, reduce_ae3cnf_to_eef,
-                         x_forall_allocation_family, x_forall_assignments)
+from .reductions import (augment_both_polarities, construct_improvement_eef,
+                         construct_improvement_po, reduce_3cnf_to_po,
+                         reduce_ae3cnf_to_eef, x_forall_allocation_family)
 from .solver import beats_threshold, solve_leximin
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -165,6 +166,8 @@ def _verify_po(args, text: str):
         "satisfiable": sat.is_yes,
         "baseline_dominated": None if dominated.is_unknown else dominated.is_yes,
         "improvement_construction_checked": False,
+        "sat_nodes": sat.nodes,
+        "dominance_nodes": dominated.nodes,
     }
     if sat.is_yes:
         construct_improvement_po(reduction, sat.witness)   # raises if it would not dominate
@@ -178,20 +181,20 @@ def _verify_eef(args, text: str):
     formula, _ = augment_both_polarities(parse_ae_dimacs(text))
     reduction = reduce_ae3cnf_to_eef(formula)
     budget = _budget(args)
-    nodes = 0
+    cnf = formula.cnf()
+    sat_nodes = dominance_nodes = 0
     per_assignment = []
     family_has_eef = False
     sound = True
     unknown = False
-    for s in x_forall_assignments(formula):
-        templates = [build_x_forall_allocation(reduction, s)]
-        if args.all_flags:
-            templates = [alloc for s2, alloc in x_forall_allocation_family(reduction, all_flags=True)
-                         if s2 == s]
+    # the family yields its templates grouped by forall assignment, in order
+    family = x_forall_allocation_family(reduction, all_flags=args.all_flags)
+    for s, group in itertools.groupby(family, key=operator.itemgetter(0)):
+        templates = [alloc for _, alloc in group]
         envy_free = all(find_envy(reduction.instance, t) is None for t in templates)
         sound = sound and envy_free
-        sat = sat_on_partial(formula.cnf(), s)
-        nodes += sat.nodes
+        sat = sat_on_partial(cnf, s)
+        sat_nodes += sat.nodes
         entry = {
             "s": {f"x{v}": value for v, value in s.values},
             "templates_checked": len(templates),
@@ -204,7 +207,7 @@ def _verify_eef(args, text: str):
             entry["template_efficient"] = False
         else:
             certified = find_dominating_allocation(reduction.instance, templates[0], budget)
-            nodes += certified.nodes
+            dominance_nodes += certified.nodes
             if certified.is_unknown:
                 unknown = True
                 entry["template_efficient"] = None
@@ -221,7 +224,10 @@ def _verify_eef(args, text: str):
         "formula_true": truth,
         "family_has_eef": None if unknown else family_has_eef,
         "assignments": per_assignment,
+        "sat_nodes": sat_nodes,
+        "dominance_nodes": dominance_nodes,
     }
+    nodes = sat_nodes + dominance_nodes
     if unknown:
         return "unknown", detail, nodes
     sound = sound and (truth == (not family_has_eef))

@@ -149,13 +149,16 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     """
     if isinstance(document, str):
         try:
-            data = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"document is not valid JSON: {e}") from None
-        except ValueError:
-            # an integer past int()'s digit limit; decode again keeping it as a
-            # marker, which the checks below reject by its path
-            data = json.loads(document, parse_int=_int_or_oversized)
+            try:
+                data = json.loads(document)
+            except json.JSONDecodeError as e:
+                raise FormatError(f"document is not valid JSON: {e}") from None
+            except ValueError:
+                # an integer past int()'s digit limit; decode again keeping it as a
+                # marker, which the checks below reject by its path
+                data = json.loads(document, parse_int=_int_or_oversized)
+        except RecursionError:
+            raise FormatError("document is nested too deeply to decode") from None
     else:
         data = document
     if not isinstance(data, Mapping):
@@ -182,7 +185,13 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     for i, row in enumerate(matrix_data):
         if not isinstance(row, list) or len(row) != len(resources):
             raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
-        matrix.append([rational_from_json(v, f"document.matrix[{i}][{j}]") for j, v in enumerate(row)])
+        try:
+            matrix.append([rational_from_json(v, "document.matrix") for v in row])
+        except FormatError:
+            # the cell path is formatted only here, on the way out
+            for j, v in enumerate(row):
+                rational_from_json(v, f"document.matrix[{i}][{j}]")
+            raise
 
     try:
         utilities = Additive(matrix) if kind == "additive" else MaxAtomic(matrix)

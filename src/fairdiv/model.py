@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -135,9 +136,20 @@ class Instance:
         return self.utilities.matrix
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators among ``values`` (1 for none)."""
+    return lcm(*set(map(_denominator, values)))
+
+
 def scale_to_ints(values: Iterable[Fraction], scale: int) -> list[int]:
     """``values`` times ``scale`` as plain ints; ``scale`` must be a multiple
     of every denominator among them."""
+    if scale == 1:                   # then every denominator is 1
+        return list(map(_numerator, values))
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
@@ -146,7 +158,7 @@ def scaled_rows(instance: Instance) -> tuple[list[list[int]], int]:
     (the lcm of all denominators), so hot loops can run on plain ints.
     Scaling by a positive constant keeps every order and equality."""
     matrix = instance.matrix
-    scale = lcm(*(v.denominator for row in matrix for v in row))
+    scale = lcm(*map(_common_denominator, matrix))
     return [scale_to_ints(row, scale) for row in matrix], scale
 
 
@@ -202,7 +214,8 @@ class Allocation:
         return tuple(j for j, who in enumerate(self.owner) if who == agent)
 
 
-def _check_allocation(instance: Instance, allocation: Allocation) -> None:
+def check_allocation(instance: Instance, allocation: Allocation) -> None:
+    """Raise ContractError unless ``allocation`` fits ``instance``."""
     if len(allocation.owner) != instance.num_resources:
         raise ContractError(
             f"allocation covers {len(allocation.owner)} resources, instance has {instance.num_resources}")
@@ -249,7 +262,7 @@ class UtilityVector:
 
 
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
-    _check_allocation(instance, allocation)
+    check_allocation(instance, allocation)
     n = instance.num_agents
     additive = isinstance(instance.utilities, Additive)
     totals = [Fraction(0)] * n
@@ -288,21 +301,44 @@ def leximin_compare(left: UtilityVector, right: UtilityVector) -> Ordering:
     return Ordering.EQUAL
 
 
-def find_envy(instance: Instance, allocation: Allocation) -> Optional[tuple[int, int]]:
-    """First pair (i, j) such that agent i strictly prefers j's bundle to its
-    own, or None if the allocation is envy-free."""
-    _check_allocation(instance, allocation)
-    n = instance.num_agents
-    bundles = [[] for _ in range(n)]
-    for j, who in enumerate(allocation.owner):
+def bundles_of(owner: Sequence[Optional[int]], num_agents: int) -> list[list[int]]:
+    """Each agent's resource indices under an owner vector, in order."""
+    bundles: list[list[int]] = [[] for _ in range(num_agents)]
+    for j, who in enumerate(owner):
         if who is not None:
             bundles[who].append(j)
-    for i in range(n):
-        own = bundle_utility(instance, i, bundles[i])
-        for j in range(n):
-            if i != j and bundle_utility(instance, i, bundles[j]) > own:
+    return bundles
+
+
+def envy_in_rows(rows: Iterable[Sequence[int]], bundles: Sequence[Sequence[int]],
+                 additive: bool) -> Optional[tuple[int, int]]:
+    """The integer kernel of ``find_envy``.  ``rows`` yields agent i's
+    coefficients as ints, at any positive scale of i's own, one row at a
+    time; each row prices every bundle in one pass, and agents are checked
+    in order, so a lazy ``rows`` is read no further than the first envious
+    agent."""
+    for i, row in enumerate(rows):
+        price = row.__getitem__
+        if additive:
+            values = [sum(map(price, bundle)) for bundle in bundles]
+        else:                                   # demands are >= 0: an empty bundle is worth 0
+            values = [max(map(price, bundle), default=0) for bundle in bundles]
+        own = values[i]
+        for j, v in enumerate(values):
+            if v > own and j != i:
                 return (i, j)
     return None
+
+
+def find_envy(instance: Instance, allocation: Allocation) -> Optional[tuple[int, int]]:
+    """First pair (i, j) such that agent i strictly prefers j's bundle to its
+    own, or None if the allocation is envy-free.  Each row is cleared of its
+    own denominators (only comparisons within a row matter) as it is
+    reached."""
+    check_allocation(instance, allocation)
+    rows = (scale_to_ints(row, _common_denominator(row)) for row in instance.matrix)
+    return envy_in_rows(rows, bundles_of(allocation.owner, instance.num_agents),
+                        isinstance(instance.utilities, Additive))
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:

@@ -17,8 +17,9 @@ from typing import Iterable, Optional
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        literal_holds)
 from .model import (Additive, Allocation, ContractError, Instance,
-                    UtilityVector, WrongUtilityKind, dominates, find_envy,
-                    scale_to_ints, scaled_rows, utility_vector)
+                    UtilityVector, WrongUtilityKind, bundles_of, check_allocation,
+                    dominates, envy_in_rows, scale_to_ints, scaled_rows,
+                    utility_vector)
 
 
 class SearchSpaceTooLarge(ContractError):
@@ -292,7 +293,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
-    rows, scale = scaled_rows(instance)
+    rows, _ = scaled_rows(instance)
     n, m = instance.num_agents, instance.num_resources
     if candidates is None:
         candidates = (Allocation(owners)
@@ -300,9 +301,11 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     try:
         for allocation in candidates:
             counter.spend()
-            if find_envy(instance, allocation) is not None:
+            check_allocation(instance, allocation)
+            bundles = bundles_of(allocation.owner, n)
+            if envy_in_rows(rows, bundles, additive=True) is not None:
                 continue
-            base = scale_to_ints(utility_vector(instance, allocation).values, scale)
+            base = [sum(map(row.__getitem__, bundle)) for row, bundle in zip(rows, bundles)]
             if _dominator_search(rows, base, counter) is None:
                 return TriVerdict.yes(allocation, counter.used)
     except _OutOfBudget:
@@ -313,52 +316,147 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 # SAT utilities
 
-def sat_on_partial(formula: CnfFormula, assignment: PartialAssignment = PartialAssignment(),
-                   max_states: int = 1 << 22) -> TriVerdict:
-    """Is the formula satisfiable by some completion of ``assignment``?
-
-    Enumerates all 2^k completions of the k unassigned variables (all-false
-    first, counting up), so the verdict is always Yes-with-witness or No.
-    """
-    fixed = assignment.as_dict()
+def _residual_clauses(formula: CnfFormula, fixed: dict[int, bool]) -> Optional[list[tuple[int, ...]]]:
+    """The clauses not yet satisfied by ``fixed``, each without its fixed
+    literals, or None if ``fixed`` falsifies one of them."""
     for v in fixed:
         if v > formula.num_vars:
             raise ContractError(f"assignment sets variable {v}, formula has {formula.num_vars}")
-    free = [v for v in range(1, formula.num_vars + 1) if v not in fixed]
-    if 2 ** len(free) > max_states:
-        raise SearchSpaceTooLarge(f"2^{len(free)} completions exceed the cap {max_states}")
-
-    # simplify the clauses under the fixed part once, up front
     residual: list[tuple[int, ...]] = []
     for clause in formula.clauses:
         status = clause_status(clause, fixed)
         if status is True:
             continue
         if status is False:
-            return TriVerdict.no(nodes=0)
+            return None
         residual.append(tuple(l for l in clause if abs(l) not in fixed))
+    return residual
 
+
+def _sat_witness(formula: CnfFormula, fixed: dict[int, bool], values: dict[int, bool]) -> PartialAssignment:
+    """``fixed`` completed by ``values``, every other variable False."""
+    full = {v: False for v in range(1, formula.num_vars + 1)}
+    full.update(fixed)
+    full.update(values)
+    return PartialAssignment(full)
+
+
+def sat_on_partial(formula: CnfFormula, assignment: PartialAssignment = PartialAssignment()) -> TriVerdict:
+    """Is the formula satisfiable by some completion of ``assignment``?
+
+    Iterative DPLL: branch on the lowest-numbered free variable, False
+    first, with unit propagation after every assignment; an explicit trail
+    and decision stack replace recursion.  Propagation sets only values
+    that every model below the current node shares, so the first model
+    found is the count-up enumeration's first (``sat_by_enumeration``):
+    the lexicographically smallest completion, variables that no clause
+    constrains set False.  The verdict is always Yes-with-witness or No;
+    ``nodes`` counts the branch assignments tried (0 when propagation
+    alone decides).
+    """
+    fixed = assignment.as_dict()
+    residual = _residual_clauses(formula, fixed)
+    if residual is None:
+        return TriVerdict.no(nodes=0)
+
+    # hurt[l]: the clauses holding the negation of l, which l made one literal shorter
+    hurt: dict[int, list[tuple[int, ...]]] = {}
+    for clause in residual:
+        for l in clause:
+            hurt.setdefault(-l, []).append(clause)
+    order = sorted({abs(l) for clause in residual for l in clause})
+    value: dict[int, bool] = {}
+    trail: list[int] = []                # the set variables, in the order they were set
+
+    def assign(v: int, b: bool) -> bool:
+        """Set v to b and propagate units; False on a conflict."""
+        value[v] = b
+        trail.append(v)
+        head = len(trail) - 1
+        while head < len(trail):
+            u = trail[head]
+            head += 1
+            for clause in hurt.get(u if value[u] else -u, ()):
+                unit = 0
+                for l in clause:
+                    held = value.get(abs(l))
+                    if held is None:
+                        if unit:
+                            break            # two free literals: undecided
+                        unit = l
+                    elif held == (l > 0):
+                        break                # satisfied
+                else:
+                    if not unit:
+                        return False         # every literal false
+                    value[abs(unit)] = unit > 0
+                    trail.append(abs(unit))
+        return True
+
+    ok = True
+    for clause in residual:
+        if len(clause) == 1:
+            (l,) = clause
+            held = value.get(abs(l))
+            ok = assign(abs(l), l > 0) if held is None else held == (l > 0)
+            if not ok:
+                break
+    nodes = 0
+    flips: list[tuple[int, int]] = []    # False branches not yet flipped: (index in order, trail length before)
+    k = 0
+    while True:
+        if ok:
+            while k < len(order) and order[k] in value:
+                k += 1
+            if k == len(order):
+                return TriVerdict.yes(_sat_witness(formula, fixed, value), nodes)
+            flips.append((k, len(trail)))
+            nodes += 1
+            ok = assign(order[k], False)
+            continue
+        if not flips:
+            return TriVerdict.no(nodes)
+        k, mark = flips.pop()
+        for v in trail[mark:]:
+            del value[v]
+        del trail[mark:]
+        nodes += 1
+        ok = assign(order[k], True)
+
+
+def sat_by_enumeration(formula: CnfFormula, assignment: PartialAssignment = PartialAssignment(),
+                       max_states: int = 1 << 22) -> TriVerdict:
+    """Unpruned reference for ``sat_on_partial``: enumerate all 2^k
+    completions of the k unassigned variables (all-false first, counting
+    up) and return the first model.  Refuses more than ``max_states``
+    completions."""
+    fixed = assignment.as_dict()
+    free = [v for v in range(1, formula.num_vars + 1) if v not in fixed]
+    residual = _residual_clauses(formula, fixed)
+    if 2 ** len(free) > max_states:
+        raise SearchSpaceTooLarge(f"2^{len(free)} completions exceed the cap {max_states}")
+    if residual is None:
+        return TriVerdict.no(nodes=0)
     nodes = 0
     for bits in itertools.product((False, True), repeat=len(free)):
         nodes += 1
         values = dict(zip(free, bits))
         if all(any(literal_holds(l, values[abs(l)]) for l in clause) for clause in residual):
-            full = dict(fixed)
-            full.update(values)
-            return TriVerdict.yes(PartialAssignment(full), nodes)
+            return TriVerdict.yes(_sat_witness(formula, fixed, values), nodes)
     return TriVerdict.no(nodes)
 
 
 def ae3cnf_eval(formula: AEFormula, max_states: int = 1 << 22) -> bool:
     """Truth of a forall/exists clausal formula, by definition unfolding:
     every assignment of the forall block must leave the clauses satisfiable
-    over the exists block."""
+    over the exists block.  ``max_states`` caps the forall assignments; each
+    one is decided by ``sat_on_partial``."""
     if 2 ** len(formula.forall_vars) > max_states:
         raise SearchSpaceTooLarge(
             f"2^{len(formula.forall_vars)} forall assignments exceed the cap {max_states}")
     cnf = formula.cnf()
     for bits in itertools.product((False, True), repeat=len(formula.forall_vars)):
         s = PartialAssignment(dict(zip(formula.forall_vars, bits)))
-        if sat_on_partial(cnf, s, max_states=max_states).is_no:
+        if sat_on_partial(cnf, s).is_no:
             return False
     return True

@@ -89,6 +89,16 @@ def _structured_key(side: str, role: str, link: Mapping) -> tuple:
         raise ContractError(f"{side} role {role!r} needs link field {e.args[0]!r}") from None
 
 
+def _add_key(index: dict, side: str, xid: str, role: str, link: Mapping, idx: int) -> None:
+    """Index ``xid``, at position ``idx``, by its structured key; two ids
+    with the same key are a ContractError, since lookups could reach only
+    one of them."""
+    key = _structured_key(side, role, link)
+    if key in index:
+        raise ContractError(f"{side} {xid!r} repeats the structured key {key!r}")
+    index[key] = idx
+
+
 def _lit_id(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
@@ -119,10 +129,13 @@ class ReductionMap:
     @classmethod
     def from_serialized(cls, agent_roles: Mapping[str, str], resource_roles: Mapping[str, str],
                         links: Mapping[str, Mapping], instance: Instance) -> "ReductionMap":
-        agent_key = {_structured_key("agent", agent_roles[aid], links.get(aid, {})): idx
-                     for idx, aid in enumerate(instance.agents) if aid in agent_roles}
-        resource_key = {_structured_key("resource", resource_roles[rid], links.get(rid, {})): idx
-                        for idx, rid in enumerate(instance.resources) if rid in resource_roles}
+        agent_key: dict = {}
+        resource_key: dict = {}
+        for side, ids, roles, index in (("agent", instance.agents, agent_roles, agent_key),
+                                        ("resource", instance.resources, resource_roles, resource_key)):
+            for idx, xid in enumerate(ids):
+                if xid in roles:
+                    _add_key(index, side, xid, roles[xid], links.get(xid, {}), idx)
         return cls(dict(agent_roles), dict(resource_roles), {k: dict(v) for k, v in links.items()},
                    agent_key, resource_key)
 
@@ -141,14 +154,14 @@ class _GadgetBuilder:
         self.coeff: dict = {}          # (agent index, resource index) -> Fraction
 
     def add_agent(self, aid: str, role: str, **link) -> None:
-        self.agent_key[_structured_key("agent", role, link)] = len(self.agent_ids)
+        _add_key(self.agent_key, "agent", aid, role, link, len(self.agent_ids))
         self.agent_ids.append(aid)
         self.agent_roles[aid] = role
         if link:
             self.links[aid] = link
 
     def add_resource(self, rid: str, role: str, **link) -> None:
-        self.resource_key[_structured_key("resource", role, link)] = len(self.resource_ids)
+        _add_key(self.resource_key, "resource", rid, role, link, len(self.resource_ids))
         self.resource_ids.append(rid)
         self.resource_roles[rid] = role
         if link:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from fairdiv import (
     serialize_instance,
 )
 import fairdiv.cli
+import fairdiv.reductions
 import fairdiv.solver
 from fairdiv.cli import main
 from fairdiv.formats import strip_volatile
@@ -243,6 +245,66 @@ def test_verify_reduction_eef_true_and_false_formulas(tmp_path, capsys):
     assert all(e["templates_envy_free"] for e in entries)
 
 
+def _dimacs(num_vars, clauses):
+    return f"p cnf {num_vars} {len(clauses)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in clauses)
+
+
+def _random_3cnf(rng, num_vars, count, model=None):
+    """``count`` random 3-clauses; with ``model``, only clauses it satisfies."""
+    clauses = []
+    while len(clauses) < count:
+        clause = [rng.choice((-1, 1)) * v for v in rng.sample(range(1, num_vars + 1), 3)]
+        if model is None or any((lit > 0) == model[abs(lit)] for lit in clause):
+            clauses.append(clause)
+    return clauses
+
+
+@pytest.mark.parametrize("num_vars", [23, 40])
+def test_verify_reduction_po_past_the_old_completion_cap(tmp_path, capsys, num_vars):
+    # 2^23 completions and more used to be refused as bad input (exit 3)
+    rng = random.Random(num_vars)
+    model = {v: rng.random() < 0.5 for v in range(1, num_vars + 1)}
+    blocked = [[1], [-1]] + _random_3cnf(rng, num_vars, 2 * num_vars)
+    planted = _random_3cnf(rng, num_vars, 2 * num_vars, model)
+    formula = tmp_path / "f.cnf"
+    for clauses, satisfiable in ((blocked, False), (planted, True)):
+        formula.write_text(_dimacs(num_vars, clauses))
+        code, report, _ = run(capsys, ["verify-reduction", "po", str(formula)])
+        assert code in (0, 1)
+        assert report["verdict"] == "yes"
+        assert report["witness"]["satisfiable"] is satisfiable
+
+
+def test_verify_reduction_reports_nodes_by_sub_search(tmp_path, capsys):
+    formula = tmp_path / "f.cnf"
+    formula.write_text(EXAMPLE_DIMACS)
+    for argv in (["po", str(formula)], ["eef", str(tmp_path / "f.qcnf")]):
+        (tmp_path / "f.qcnf").write_text(FALSE_AE_DIMACS)
+        code, report, _ = run(capsys, ["verify-reduction", *argv])
+        assert code == 0
+        detail = report["witness"]
+        assert detail["dominance_nodes"] > 0
+        assert report["stats"]["nodes"] == detail["sat_nodes"] + detail["dominance_nodes"]
+
+
+def test_verify_reduction_all_flags_builds_the_family_once(tmp_path, capsys, monkeypatch):
+    walks = []
+    original = fairdiv.cli.x_forall_allocation_family
+
+    def counting(*args, **kwargs):
+        walks.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fairdiv.cli, "x_forall_allocation_family", counting)
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(FALSE_AE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--all-flags"])
+    assert code == 0
+    assert walks == [{"all_flags": True}]
+    assert [e["templates_checked"] for e in report["witness"]["assignments"]] == [16, 4]
+
+
 def test_verify_reduction_unknown_on_tiny_budget(tmp_path, capsys):
     formula = tmp_path / "f.cnf"
     formula.write_text(UNSAT_DIMACS)
@@ -307,6 +369,14 @@ def test_non_string_allocation_holder_exits_3(tmp_path, capsys, holder):
     code, report, err = run(capsys, ["check-envy", str(path)])
     assert code == 3 and report is None
     assert "document.allocation['o']" in err
+
+
+def test_deeply_nested_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, report, err = run(capsys, ["check-envy", str(path)])
+    assert code == 3 and report is None
+    assert "nested too deeply" in err
 
 
 def test_oversized_threshold_token_exits_3(tmp_path, capsys):

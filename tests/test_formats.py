@@ -145,6 +145,20 @@ def test_roles_missing_a_link_field_name_the_role_and_the_field():
                                      reduction.instance)
 
 
+def test_roles_with_a_repeated_structured_key_are_rejected():
+    reduction = reduce_3cnf_to_po(EXAMPLE_CNF)
+    data = json.loads(serialize_instance(
+        InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)))
+    data["roles"]["agents"]["a:unassigned"] = "satisfied"   # a second 'satisfied' agent
+    with pytest.raises(FormatError, match="repeats the structured key \\('satisfied',\\)"):
+        parse_instance(json.dumps(data))
+    data = json.loads(serialize_instance(
+        InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)))
+    data["roles"]["links"]["o:c2,~x3"] = {"clause": 0, "literal": 1}   # the key of o:c1,x1
+    with pytest.raises(FormatError, match="resource 'o:c2,~x3' repeats the structured key"):
+        parse_instance(json.dumps(data))
+
+
 def test_parse_minimal_document():
     doc = parse_instance('{"kind": "max-atomic", "agents": ["a"],'
                          ' "resources": ["o"], "matrix": [[1]]}')

@@ -244,6 +244,47 @@ def test_envy_witness_is_valid(case):
         assert bundle_utility(inst, i, alloc.bundle(j)) > bundle_utility(inst, i, alloc.bundle(i))
 
 
+def _envy_by_definition(inst, alloc):
+    """The first envious pair by the n^2 bundle_utility double loop."""
+    bundles = [alloc.bundle(i) for i in range(inst.num_agents)]
+    for i in range(inst.num_agents):
+        own = bundle_utility(inst, i, bundles[i])
+        for j in range(inst.num_agents):
+            if i != j and bundle_utility(inst, i, bundles[j]) > own:
+                return (i, j)
+    return None
+
+
+@st.composite
+def instance_with_allocation(draw):
+    """Additive instances with negative values and mixed denominators, or
+    max-atomic ones, with any partial allocation."""
+    if draw(st.booleans()):
+        inst = additive_instance(draw(small_matrix(rationals, max_n=5, max_m=6)))
+    else:
+        values = st.fractions(min_value=0, max_value=9, max_denominator=12)
+        inst = max_atomic_instance(draw(small_matrix(values, max_n=5, max_m=6)))
+    owner = draw(st.lists(
+        st.one_of(st.none(), st.integers(0, inst.num_agents - 1)),
+        min_size=inst.num_resources, max_size=inst.num_resources))
+    return inst, Allocation(owner)
+
+
+@given(instance_with_allocation())
+def test_find_envy_matches_bundle_utility(case):
+    inst, alloc = case
+    assert find_envy(inst, alloc) == _envy_by_definition(inst, alloc)
+
+
+def test_find_envy_mixed_denominators_by_row():
+    # row 0 in thirds, row 1 in halves: 1/3 + 1/3 < 3/4 for agent 0
+    inst = additive_instance([[Fraction(1, 3), Fraction(1, 3), Fraction(3, 4)],
+                              [Fraction(1, 2), Fraction(-1, 2), 1]])
+    assert find_envy(inst, Allocation([0, 0, 1])) == (0, 1)
+    assert find_envy(inst, Allocation([1, 1, 0])) == (1, 0)
+    assert find_envy(inst, Allocation([0, 1, None])) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # dominance
 

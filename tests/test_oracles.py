@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from fairdiv import (
     leximin_compare,
     max_atomic_instance,
     reduce_3cnf_to_po,
+    sat_by_enumeration,
     sat_on_partial,
     utility_vector,
     x_forall_assignments,
@@ -240,8 +242,50 @@ def test_sat_on_partial_rejects_unknown_variables():
 
 
 def test_sat_on_partial_size_guard():
+    # only the enumeration reference keeps a cap; sat_on_partial has none
     with pytest.raises(SearchSpaceTooLarge):
-        sat_on_partial(CnfFormula(3, [[1]]), max_states=4)
+        sat_by_enumeration(CnfFormula(3, [[1]]), max_states=4)
+
+
+literals8 = st.sampled_from([v for v in range(-8, 9) if v != 0])
+
+
+@given(st.lists(st.lists(literals8, min_size=1, max_size=3), max_size=30),
+       st.dictionaries(st.integers(1, 8), st.booleans(), max_size=3))
+@settings(max_examples=300)
+def test_dpll_matches_enumeration(clauses, fixed):
+    formula = CnfFormula(8, clauses)
+    s = PartialAssignment(fixed)
+    dpll = sat_on_partial(formula, s)
+    reference = sat_by_enumeration(formula, s)
+    assert dpll.kind == reference.kind
+    assert dpll.witness == reference.witness       # the same first model, not just some model
+
+
+def test_sat_on_partial_has_no_completion_cap():
+    # 40 free variables: 2^40 completions, decided by search instead
+    rng = random.Random(40)
+    for ratio in (3, 6):
+        clauses = [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, 41), 3)]
+                   for _ in range(ratio * 40)]
+        formula = CnfFormula(40, clauses)
+        verdict = sat_on_partial(formula)
+        assert not verdict.is_unknown
+        if verdict.is_yes:
+            assert formula_satisfied(formula.clauses, verdict.witness.as_dict())
+
+
+def test_sat_on_partial_long_implication_chain():
+    # x1 and x1 -> x2 -> ... -> x2000, clauses listed back to front, so
+    # propagation runs 2000 steps deep; then the same chain closed by -x2000
+    n = 2000
+    chain = [[-v, v + 1] for v in range(n - 1, 0, -1)]
+    verdict = sat_on_partial(CnfFormula(n, chain + [[1]]))
+    assert verdict.is_yes
+    assert all(value for _, value in verdict.witness.values)
+    assert sat_on_partial(CnfFormula(n, chain + [[1], [-n]])).is_no
+    # no unit clause: the search branches, and x1 = False satisfies it at once
+    assert sat_on_partial(CnfFormula(n, chain + [[-n]])).witness.get(1) is False
 
 
 @given(clauses4, st.dictionaries(st.integers(1, 4), st.booleans(), max_size=2))

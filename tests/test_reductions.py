@@ -30,6 +30,7 @@ from fairdiv import (
     x_forall_assignments,
 )
 from fairdiv.model import ContractError
+from fairdiv.reductions import _GadgetBuilder
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -127,6 +128,16 @@ def test_po_reduction_role_lookup():
     assert inst.resources[mapping.resource("satisfied")] == "o:satisfied"
     assert set(mapping.agent_roles) == set(inst.agents)
     assert set(mapping.resource_roles) == set(inst.resources)
+
+
+def test_gadget_builder_rejects_a_repeated_structured_key():
+    builder = _GadgetBuilder()
+    builder.add_agent("a:satisfied", "satisfied")
+    with pytest.raises(ContractError, match="agent 'a:other' repeats the structured key"):
+        builder.add_agent("a:other", "satisfied")
+    builder.add_resource("o:x1", "variable", variable=1)
+    with pytest.raises(ContractError, match="resource 'o:x1 again' repeats"):
+        builder.add_resource("o:x1 again", "universal-variable", variable=1)
 
 
 @given(clauses4)
