@@ -22,14 +22,15 @@ BUILT_IN = CnfFormula(3, [[1, 2, -3], [-1, -2, -3]])
 
 
 def print_table(instance, baseline) -> None:
+    matrix = instance.matrix          # the Fraction view is built on each access
     name_w = max(len(a) for a in instance.agents)
-    col_w = [max(len(r), *(len(str(instance.matrix[i][j]))
+    col_w = [max(len(r), *(len(str(matrix[i][j]))
                            for i in range(instance.num_agents)))
              for j, r in enumerate(instance.resources)]
     header = " ".join(r.rjust(w) for r, w in zip(instance.resources, col_w))
     print(f"{'':{name_w}}  {header}")
     for i, agent in enumerate(instance.agents):
-        cells = " ".join(str(instance.matrix[i][j]).rjust(w)
+        cells = " ".join(str(matrix[i][j]).rjust(w)
                          for j, w in enumerate(col_w))
         print(f"{agent:{name_w}}  {cells}")
     owners = " ".join(instance.agents[baseline.owner[j]].rjust(w)

@@ -4,7 +4,8 @@ Instance documents are plain JSON.  Rationals are encoded as ints or "p/q"
 strings — floats are rejected outright, because the whole toolkit promises
 exact arithmetic.  A document can optionally carry an allocation (keyed by
 resource id) and the role/link annotations produced by the reductions, and
-``parse_instance(serialize_instance(doc))`` is the identity.
+``parse_instance(serialize_instance(doc))`` is the identity.  JSON ints go
+into the instance's int matrix as they are; only "p/q" cells pass a Fraction.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Union
 
 from .model import (Additive, Allocation, ContractError, Instance, MaxAtomic,
-                    UtilityVector)
+                    Rational, UtilityVector)
 from .formulas import AEFormula, CnfFormula
 from .reductions import ReductionMap
 
@@ -33,18 +35,19 @@ class FormatError(ValueError):
 _RATIONAL_RE = re.compile(r"^(-?\d+)/([1-9]\d*)$")
 
 
-def rational_to_json(value: Fraction) -> Union[int, str]:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def rational_to_json(value: Rational, scale: int = 1) -> Union[int, str]:
+    """``value / scale`` as an int, or else as a "p/q" string in lowest terms."""
+    p, q = value.numerator, value.denominator * scale
+    g = gcd(p, q)
+    return p // g if g == q else f"{p // g}/{q // g}"
 
 
-def rational_from_json(value: object, where: str) -> Fraction:
+def rational_from_json(value: object, where: str) -> Rational:
+    """A JSON int as itself, a "p/q" string as a Fraction."""
     if isinstance(value, bool):
         raise FormatError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         raise FormatError(f'{where}: floats are not exact; write rationals as "p/q" strings')
     if isinstance(value, str):
@@ -89,16 +92,16 @@ _DOCUMENT_KEYS = {"kind", "agents", "resources", "matrix", "allocation", "roles"
 
 def document_to_dict(doc: InstanceDocument) -> dict:
     instance = doc.instance
+    scale = instance.utilities.scale
     data: dict = {
         "kind": instance.kind,
         "agents": list(instance.agents),
         "resources": list(instance.resources),
-        "matrix": [[rational_to_json(v) for v in row] for row in instance.matrix],
+        "matrix": [list(row) if scale == 1 else [rational_to_json(c, scale) for c in row]
+                   for row in instance.utilities.rows],
     }
     if doc.allocation is not None:
-        data["allocation"] = {
-            rid: (None if who is None else instance.agents[who])
-            for rid, who in zip(instance.resources, doc.allocation.owner)}
+        data["allocation"] = allocation_to_json(instance, doc.allocation)
     if doc.mapping is not None:
         data["roles"] = {
             "agents": dict(doc.mapping.agent_roles),
@@ -185,13 +188,15 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     for i, row in enumerate(matrix_data):
         if not isinstance(row, list) or len(row) != len(resources):
             raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
-        try:
-            matrix.append([rational_from_json(v, "document.matrix") for v in row])
-        except FormatError:
-            # the cell path is formatted only here, on the way out
-            for j, v in enumerate(row):
-                rational_from_json(v, f"document.matrix[{i}][{j}]")
-            raise
+        if not set(map(type, row)) <= {int}:          # a row of JSON ints goes to the model as it is
+            try:
+                row = [rational_from_json(v, "document.matrix") for v in row]
+            except FormatError:
+                # the cell path is formatted only here, on the way out
+                for j, v in enumerate(row):
+                    rational_from_json(v, f"document.matrix[{i}][{j}]")
+                raise
+        matrix.append(row)
 
     try:
         utilities = Additive(matrix) if kind == "additive" else MaxAtomic(matrix)
@@ -238,8 +243,9 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
                     raise FormatError(f"document.roles.{section}[{key!r}]: roles are strings")
         if not isinstance(links, Mapping):
             raise FormatError("document.roles.links: expected an object")
+        ids = set(agents) | set(resources)
         for key, link in links.items():
-            if key not in set(agents) | set(resources):
+            if key not in ids:
                 raise FormatError(f"document.roles.links: unknown id {key!r}")
             if not isinstance(link, Mapping):
                 raise FormatError(f"document.roles.links[{key!r}]: expected an object")

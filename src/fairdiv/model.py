@@ -1,8 +1,12 @@
 """Core model for indivisible-resource allocation problems.
 
-Everything is exact: utilities are `fractions.Fraction`, never floats, so
-comparisons (leximin, dominance, envy) are decidable equalities rather than
-tolerance checks.  All types are immutable; all operations are pure functions.
+Everything is exact, never floating point, so comparisons (leximin,
+dominance, envy) are decidable equalities rather than tolerance checks.  An
+instance holds its utilities as scaled ints: one int matrix ``rows`` and one
+``scale``, the lcm of the cell denominators.  Hot loops compare those ints;
+``matrix``, the cells as `fractions.Fraction`, is a view for the boundary
+(reports, reference oracles, tests), as are the Fraction utility vectors.
+All types are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -35,53 +38,75 @@ def as_rational(value: object, where: str = "value") -> Fraction:
     raise ContractError(f"{where}: expected an exact rational, got {value!r}")
 
 
-def _freeze_matrix(rows: Iterable[Iterable[object]], what: str) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    width = None
-    for i, row in enumerate(rows):
-        frozen = tuple(as_rational(v, f"{what}[{i}][{j}]") for j, v in enumerate(row))
-        if width is None:
-            width = len(frozen)
-        elif len(frozen) != width:
-            raise ContractError(f"{what}[{i}]: expected {width} entries, got {len(frozen)}")
-        out.append(frozen)
-    return tuple(out)
+def _scaled_matrix(cells: Iterable[Iterable[object]], what: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Validate a matrix of exact rationals and return it as int rows and a
+    scale, the lcm of the cell denominators: cell (i, j) is ``rows[i][j] /
+    scale``.  Floats and bools are rejected.  A row of plain ints is checked
+    by the set of its types and kept as it is, any other row cell by cell."""
+    rows = []
+    scale = 1
+    for i, row in enumerate(cells):
+        row = tuple(row)
+        if rows and len(row) != len(rows[0]):
+            raise ContractError(f"{what}[{i}]: expected {len(rows[0])} entries, got {len(row)}")
+        if not set(map(type, row)) <= {int}:
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                    raise ContractError(f"{what}[{i}][{j}]: expected an exact rational, got {v!r}")
+            row_scale = lcm(*(v.denominator for v in row))
+            if row_scale == 1:                   # Fractions p/1 and int subclasses become ints
+                row = tuple(v.numerator for v in row)
+            scale = lcm(scale, row_scale)
+        rows.append(row)
+    if scale == 1:
+        return tuple(rows), 1
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
 
 
 @dataclass(frozen=True)
-class Additive:
-    """Additive utilities: the value of a bundle is the sum of per-resource
-    coefficients.  Coefficients may be negative."""
+class _ScaledUtilities:
+    """Utilities held as one immutable int matrix ``rows`` and one scale, the
+    lcm of the cell denominators: cell (i, j) is worth ``rows[i][j] / scale``.
+    Equal matrices are held alike, and hot loops compare the ints directly,
+    since a positive scale keeps every order and equality."""
 
-    coefficients: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __init__(self, coefficients: Iterable[Iterable[object]]):
-        object.__setattr__(self, "coefficients", _freeze_matrix(coefficients, "coefficients"))
+    def __init__(self, cells: Iterable[Iterable[object]]):
+        rows, scale = _scaled_matrix(cells, self._what)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.coefficients
+        """The cells as Fractions, built on each call: a view for reports,
+        reference oracles and tests, not for hot loops."""
+        scale = self.scale
+        return tuple(tuple(Fraction(c, scale) for c in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class MaxAtomic:
+class Additive(_ScaledUtilities):
+    """Additive utilities: the value of a bundle is the sum of per-resource
+    coefficients.  Coefficients may be negative."""
+
+    _what = "coefficients"
+
+
+class MaxAtomic(_ScaledUtilities):
     """Single-minded-style utilities: an agent bids a demand on each resource
     and a bundle is worth the largest demand it contains (0 when empty).
     Demands must be non-negative."""
 
-    demands: tuple[tuple[Fraction, ...], ...]
+    _what = "demands"
 
     def __init__(self, demands: Iterable[Iterable[object]]):
-        frozen = _freeze_matrix(demands, "demands")
-        for i, row in enumerate(frozen):
-            for j, d in enumerate(row):
-                if d.numerator < 0:     # an int compare; Fraction < 0 dispatches through the numbers ABC
-                    raise ContractError(f"demands[{i}][{j}]: demands must be non-negative, got {d}")
-        object.__setattr__(self, "demands", frozen)
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.demands
+        super().__init__(demands)
+        for i, row in enumerate(self.rows):
+            if min(row, default=0) < 0:
+                j = next(j for j, d in enumerate(row) if d < 0)
+                raise ContractError(f"demands[{i}][{j}]: demands must be non-negative, "
+                                    f"got {Fraction(row[j], self.scale)}")
 
 
 UtilitySpec = Union[Additive, MaxAtomic]
@@ -108,13 +133,11 @@ class Instance:
                 raise ContractError(f"duplicate {name} id")
         if not isinstance(utilities, (Additive, MaxAtomic)):
             raise ContractError(f"unsupported utility model: {utilities!r}")
-        matrix = utilities.matrix
-        if len(matrix) != len(agents):
-            raise ContractError(f"matrix has {len(matrix)} rows for {len(agents)} agents")
-        if matrix and len(matrix[0]) != len(resources):
-            raise ContractError(f"matrix rows have {len(matrix[0])} entries for {len(resources)} resources")
-        if not matrix and resources:
-            raise ContractError("matrix has no rows")
+        rows = utilities.rows
+        if len(rows) != len(agents):
+            raise ContractError(f"matrix has {len(rows)} rows for {len(agents)} agents")
+        if len(rows[0]) != len(resources):            # there is a row per agent, so one at least
+            raise ContractError(f"matrix rows have {len(rows[0])} entries for {len(resources)} resources")
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "utilities", utilities)
@@ -134,32 +157,6 @@ class Instance:
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.utilities.matrix
-
-
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    """The lcm of the denominators among ``values`` (1 for none)."""
-    return lcm(*set(map(_denominator, values)))
-
-
-def scale_to_ints(values: Iterable[Fraction], scale: int) -> list[int]:
-    """``values`` times ``scale`` as plain ints; ``scale`` must be a multiple
-    of every denominator among them."""
-    if scale == 1:                   # then every denominator is 1
-        return list(map(_numerator, values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def scaled_rows(instance: Instance) -> tuple[list[list[int]], int]:
-    """The instance's matrix with denominators cleared, and the scale used
-    (the lcm of all denominators), so hot loops can run on plain ints.
-    Scaling by a positive constant keeps every order and equality."""
-    matrix = instance.matrix
-    scale = lcm(*map(_common_denominator, matrix))
-    return [scale_to_ints(row, scale) for row in matrix], scale
 
 
 def additive_instance(matrix: Sequence[Sequence[object]],
@@ -228,16 +225,16 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
     """Value of a set of resources to one agent under the instance's model."""
     if not 0 <= agent < instance.num_agents:
         raise ContractError(f"agent index {agent} out of range")
-    row = instance.matrix[agent] if instance.matrix else ()
+    utilities = instance.utilities
+    row = utilities.rows[agent]
     items = []
     for j in bundle:
         if not 0 <= j < instance.num_resources:
             raise ContractError(f"resource index {j} out of range")
         items.append(row[j])
-    if isinstance(instance.utilities, Additive):
-        return sum(items, Fraction(0))
     # max-atomic: worth of the single best item; an empty bundle is worth 0
-    return max(items) if items else Fraction(0)
+    total = sum(items) if isinstance(utilities, Additive) else max(items, default=0)
+    return Fraction(total, utilities.scale)
 
 
 @dataclass(frozen=True)
@@ -261,21 +258,26 @@ class UtilityVector:
         return iter(self.values)
 
 
-def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
+def scaled_utilities(instance: Instance, allocation: Allocation) -> list[int]:
+    """Each agent's utility under ``allocation``, times the instance's scale."""
     check_allocation(instance, allocation)
-    n = instance.num_agents
     additive = isinstance(instance.utilities, Additive)
-    totals = [Fraction(0)] * n
-    matrix = instance.matrix
+    rows = instance.utilities.rows
+    totals = [0] * instance.num_agents      # demands are >= 0: an empty bundle is worth 0
     for j, who in enumerate(allocation.owner):
         if who is None:
             continue
-        v = matrix[who][j]
+        v = rows[who][j]
         if additive:
             totals[who] += v
         elif v > totals[who]:
             totals[who] = v
-    return UtilityVector(totals)
+    return totals
+
+
+def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
+    scale = instance.utilities.scale
+    return UtilityVector(Fraction(t, scale) for t in scaled_utilities(instance, allocation))
 
 
 class Ordering(Enum):
@@ -312,11 +314,9 @@ def bundles_of(owner: Sequence[Optional[int]], num_agents: int) -> list[list[int
 
 def envy_in_rows(rows: Iterable[Sequence[int]], bundles: Sequence[Sequence[int]],
                  additive: bool) -> Optional[tuple[int, int]]:
-    """The integer kernel of ``find_envy``.  ``rows`` yields agent i's
-    coefficients as ints, at any positive scale of i's own, one row at a
-    time; each row prices every bundle in one pass, and agents are checked
-    in order, so a lazy ``rows`` is read no further than the first envious
-    agent."""
+    """The integer kernel of ``find_envy``: ``rows`` holds agent i's
+    utilities as ints at any positive scale of i's own.  Each row prices
+    every bundle in one pass, and agents are checked in order."""
     for i, row in enumerate(rows):
         price = row.__getitem__
         if additive:
@@ -332,12 +332,9 @@ def envy_in_rows(rows: Iterable[Sequence[int]], bundles: Sequence[Sequence[int]]
 
 def find_envy(instance: Instance, allocation: Allocation) -> Optional[tuple[int, int]]:
     """First pair (i, j) such that agent i strictly prefers j's bundle to its
-    own, or None if the allocation is envy-free.  Each row is cleared of its
-    own denominators (only comparisons within a row matter) as it is
-    reached."""
+    own, or None if the allocation is envy-free."""
     check_allocation(instance, allocation)
-    rows = (scale_to_ints(row, _common_denominator(row)) for row in instance.matrix)
-    return envy_in_rows(rows, bundles_of(allocation.owner, instance.num_agents),
+    return envy_in_rows(instance.utilities.rows, bundles_of(allocation.owner, instance.num_agents),
                         isinstance(instance.utilities, Additive))
 
 
@@ -348,6 +345,6 @@ def is_envy_free(instance: Instance, allocation: Allocation) -> bool:
 def dominates(instance: Instance, challenger: Allocation, incumbent: Allocation) -> bool:
     """Pareto dominance: every agent at least as well off, someone strictly
     better.  Irreflexive and asymmetric by definition."""
-    u = utility_vector(instance, challenger).values
-    v = utility_vector(instance, incumbent).values
+    u = scaled_utilities(instance, challenger)
+    v = scaled_utilities(instance, incumbent)
     return all(a >= b for a, b in zip(u, v)) and any(a > b for a, b in zip(u, v))

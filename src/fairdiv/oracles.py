@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        literal_holds)
 from .model import (Additive, Allocation, ContractError, Instance,
                     UtilityVector, WrongUtilityKind, bundles_of, check_allocation,
-                    dominates, envy_in_rows, scale_to_ints, scaled_rows,
-                    utility_vector)
+                    dominates, envy_in_rows, scaled_utilities, utility_vector)
 
 
 class SearchSpaceTooLarge(ContractError):
@@ -119,7 +118,7 @@ def brute_force_leximin(instance: Instance, max_states: int = 2_000_000) -> tupl
         raise SearchSpaceTooLarge(
             f"(n+1)^m = {states} exceeds the enumeration cap {max_states}")
     additive = isinstance(instance.utilities, Additive)
-    rows, _ = scaled_rows(instance)      # a positive scale keeps the leximin order and its ties
+    rows = instance.utilities.rows       # a positive scale keeps the leximin order and its ties
     utils = [0] * n
     owner: list[Optional[int]] = [None] * m
     best_key: Optional[tuple] = None
@@ -151,7 +150,8 @@ def brute_force_leximin(instance: Instance, max_states: int = 2_000_000) -> tupl
 # ---------------------------------------------------------------------------
 # Pareto-improvement search
 
-def _dominator_search(rows: list[list[int]], base: list[int], counter: _Counter) -> Optional[list[Optional[int]]]:
+def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
+                      counter: _Counter) -> Optional[list[Optional[int]]]:
     """Depth-first search for an allocation whose utility vector weakly
     dominates ``base`` with at least one strict gain.
 
@@ -174,47 +174,48 @@ def _dominator_search(rows: list[list[int]], base: list[int], counter: _Counter)
     gap = [sum(c for j in cols for (i2, c) in pos[j] if i2 == i) - base[i] for i in range(n)]
     owner: list[Optional[int]] = [None] * m
     unplaced = set(cols)
-    found: list[Optional[list[Optional[int]]]] = [None]
-
-    def visit() -> bool:
-        counter.spend()
-        if not any(g > 0 for g in gap):
-            return False                         # nobody can still beat baseline
-        if not unplaced:
-            found[0] = list(owner)
-            return True
-        # most-constrained column first; forced moves propagate immediately
-        best_j = -1
-        best_cands: list[tuple[int, int]] = []
-        for j in sorted(unplaced):
-            cands = []
-            for a, ca in pos[j]:
-                if all(gap[i] >= c for i, c in pos[j] if i != a):
-                    cands.append((a, ca))
-            if not cands:
-                return False                     # some column can no longer be placed
-            if best_j < 0 or len(cands) < len(best_cands):
-                best_j, best_cands = j, cands
-                if len(cands) == 1:
+    # per placed column, innermost last: (column, its candidates not yet tried);
+    # an explicit stack, so the depth is not bounded by Python's recursion limit
+    stack: list[tuple[int, Iterator[int]]] = []
+    while True:
+        counter.spend()                          # a node: the placements on the stack
+        if any(g > 0 for g in gap):              # else nobody can still beat baseline
+            if not unplaced:
+                return list(owner)
+            # most-constrained column first; forced moves propagate immediately
+            best_j, best_cands = -1, []
+            for j in sorted(unplaced):
+                cands = [a for a, _ in pos[j] if all(gap[i] >= c for i, c in pos[j] if i != a)]
+                if not cands:
+                    best_j = -1                  # some column can no longer be placed
                     break
-        j = best_j
-        unplaced.discard(j)
-        for a, ca in best_cands:
-            for i, c in pos[j]:
-                if i != a:
-                    gap[i] -= c
-            owner[j] = a
-            if visit():
-                return True
-            owner[j] = None
-            for i, c in pos[j]:
-                if i != a:
-                    gap[i] += c
-        unplaced.add(j)
-        return False
+                if best_j < 0 or len(cands) < len(best_cands):
+                    best_j, best_cands = j, cands
+                    if len(cands) == 1:
+                        break
+            if best_j >= 0:
+                unplaced.discard(best_j)
+                stack.append((best_j, iter(best_cands)))
+        # place the next candidate of the innermost column that has one left
+        while stack:
+            j, untried = stack[-1]
+            if owner[j] is not None:             # take back the placement tried last
+                _shift(gap, pos[j], owner[j], 1)
+            owner[j] = next(untried, None)
+            if owner[j] is not None:
+                _shift(gap, pos[j], owner[j], -1)
+                break
+            stack.pop()
+            unplaced.add(j)
+        else:
+            return None
 
-    visit()
-    return found[0]
+
+def _shift(gap: list[int], column: list[tuple[int, int]], owner: int, sign: int) -> None:
+    """Add ``sign`` times each coefficient on ``column`` to its agent's gap, the owner's excepted."""
+    for i, c in column:
+        if i != owner:
+            gap[i] += sign * c
 
 
 def find_dominating_allocation(instance: Instance, baseline: Allocation,
@@ -226,12 +227,10 @@ def find_dominating_allocation(instance: Instance, baseline: Allocation,
     """
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the improvement search works on additive instances")
-    base_vec = utility_vector(instance, baseline)   # also validates the allocation
-    rows, scale = scaled_rows(instance)
-    base = scale_to_ints(base_vec.values, scale)
+    base = scaled_utilities(instance, baseline)     # also validates the allocation
     counter = _Counter(budget)
     try:
-        owner = _dominator_search(rows, base, counter)
+        owner = _dominator_search(instance.utilities.rows, base, counter)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)
     if owner is None:
@@ -293,7 +292,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
-    rows, _ = scaled_rows(instance)
+    rows = instance.utilities.rows
     n, m = instance.num_agents, instance.num_resources
     if candidates is None:
         candidates = (Allocation(owners)

@@ -151,7 +151,7 @@ class _GadgetBuilder:
         self.links: dict = {}
         self.agent_key: dict = {}
         self.resource_key: dict = {}
-        self.coeff: dict = {}          # (agent index, resource index) -> Fraction
+        self.coeff: dict = {}          # (agent index, resource index) -> int or Fraction
 
     def add_agent(self, aid: str, role: str, **link) -> None:
         _add_key(self.agent_key, "agent", aid, role, link, len(self.agent_ids))
@@ -169,11 +169,11 @@ class _GadgetBuilder:
 
     def set(self, agent_key: tuple, resource_key: tuple, value) -> None:
         cell = (self.agent_key[agent_key], self.resource_key[resource_key])
-        self.coeff[cell] = as_rational(value, "coefficient")
+        self.coeff[cell] = value
 
     def instance(self) -> Instance:
         n, m = len(self.agent_ids), len(self.resource_ids)
-        matrix = [[Fraction(0)] * m for _ in range(n)]
+        matrix = [[0] * m for _ in range(n)]
         for (i, j), v in self.coeff.items():
             matrix[i][j] = v
         return Instance(self.agent_ids, self.resource_ids, Additive(matrix))

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
                     UtilityVector, WrongUtilityKind, leximin_compare,
-                    scaled_rows, utility_vector)
+                    utility_vector)
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class WeightMatrix:
             rows.append(row)
         object.__setattr__(self, "weights", tuple(rows))
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.weights)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.weights[0]) if self.weights else 0
-
 
 def generate_weights(instance: Instance) -> WeightMatrix:
     """Map each demand to its rank weight.
@@ -72,9 +64,8 @@ def generate_weights(instance: Instance) -> WeightMatrix:
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
-    # demand levels as scaled ints: hashing and ordering them is far cheaper
-    # than doing the same with Fractions, and scaling keeps both intact
-    levels, _ = scaled_rows(instance)
+    # demand levels as the instance's scaled ints: scaling keeps their order and equality
+    levels = instance.utilities.rows
     counts = Counter(chain.from_iterable(levels))
     weight_of: dict[int, int] = {}
     handed_out = 0
@@ -91,34 +82,35 @@ def check_weight_invariants(instance: Instance, weights: WeightMatrix) -> None:
     antitone, and each weight > sum of weights at strictly larger demands."""
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight invariants are defined against max-atomic demands")
-    demands = instance.utilities.demands
+    demands, scale = instance.utilities.rows, instance.utilities.scale
     n, m = instance.num_agents, instance.num_resources
     rows = weights.weights
     if len(rows) != n or (rows and len(rows[0]) != m):
         raise ContractError("weight matrix shape does not match the instance")
+    # demands as scaled ints, shown as the rationals they stand for
     flat = [(demands[i][j], rows[i][j]) for i in range(n) for j in range(m)]
     for d, w in flat:
         if w <= 0:
-            raise ContractError(f"weight for demand {d} is not positive")
-    by_demand: dict[Fraction, int] = {}
-    total_at: dict[Fraction, int] = {}
+            raise ContractError(f"weight for demand {Fraction(d, scale)} is not positive")
+    by_demand: dict[int, int] = {}
+    total_at: dict[int, int] = {}
     for d, w in flat:
         if d in by_demand and by_demand[d] != w:
-            raise ContractError(f"demand {d} maps to two different weights")
+            raise ContractError(f"demand {Fraction(d, scale)} maps to two different weights")
         by_demand[d] = w
         total_at[d] = total_at.get(d, 0) + w
     ordered = sorted(by_demand, reverse=True)
     for smaller, larger in zip(ordered[1:], ordered):
         if by_demand[smaller] <= by_demand[larger]:
             raise ContractError(
-                f"weights are not strictly antitone: demand {smaller} -> {by_demand[smaller]}, "
-                f"demand {larger} -> {by_demand[larger]}")
+                f"weights are not strictly antitone: demand {Fraction(smaller, scale)} -> "
+                f"{by_demand[smaller]}, demand {Fraction(larger, scale)} -> {by_demand[larger]}")
     # prefix sums over strictly larger demands
     above = 0
     for d in ordered:
         if by_demand[d] <= above:
             raise ContractError(
-                f"weight {by_demand[d]} for demand {d} does not dominate the {above} "
+                f"weight {by_demand[d]} for demand {Fraction(d, scale)} does not dominate the {above} "
                 f"total weight sitting at larger demands")
         above += total_at[d]
 

@@ -117,6 +117,30 @@ def test_check_pareto_budget_flag_forces_unknown(tmp_path, capsys):
     assert report["verdict"] == "unknown"
 
 
+DEEP = 1500      # resources: past Python's default recursion limit of 1000
+
+
+def test_check_pareto_on_a_forced_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # agent a values every resource at 1, agent b none, and b holds them all:
+    # each column has one candidate, so the search places all 1500 in one line
+    inst = additive_instance([[1] * DEEP, [0] * DEEP], agents=["a", "b"])
+    path = write_doc(tmp_path, "chain.json", inst, Allocation([1] * DEEP))
+    code, report, err = run(capsys, ["check-pareto", path])
+    assert code == 1, err
+    assert report["witness"]["dominating_allocation"] == {f"o{j + 1}": "a" for j in range(DEEP)}
+    assert report["stats"]["nodes"] == DEEP + 1
+
+
+def test_check_pareto_on_alternating_owners_runs_out_its_budget(tmp_path, capsys):
+    # both agents value everything at 1 and the owners alternate: the search
+    # goes 1500 placements deep at once and then backtracks without end
+    inst = additive_instance([[1] * DEEP, [1] * DEEP], agents=["a", "b"])
+    path = write_doc(tmp_path, "alternating.json", inst, Allocation([j % 2 for j in range(DEEP)]))
+    code, report, err = run(capsys, ["check-pareto", path, "--budget", "5000"])
+    assert code == 2, err
+    assert report["verdict"] == "unknown"
+
+
 def test_check_pareto_requires_an_allocation(tmp_path, capsys):
     path = write_doc(tmp_path, "i.json", additive_instance([[1]]))
     code, _, err = run(capsys, ["check-pareto", path])

@@ -107,6 +107,40 @@ def test_round_trip_500_random_documents():
         assert parsed.mapping is None
 
 
+def cell_value(cell):
+    """A document cell, an int or a "p/q" string, as a Fraction."""
+    return Fraction(cell) if isinstance(cell, int) else Fraction(*map(int, cell.split("/")))
+
+
+def fraction_encoding(cell):
+    """The per-cell encoder serialization must match: through a Fraction, an
+    int when whole, "p/q" in lowest terms otherwise."""
+    value = cell_value(cell)
+    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+# ints, negatives, zeros, and "p/q" spellings, unreduced ones included
+document_cells = (st.integers(-9, 9) | st.sampled_from(["2/4", "4/2", "-0/3", "3/1", "-6/4"])
+                  | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_serialization_matches_a_per_cell_fraction_encoder(data):
+    kind = data.draw(st.sampled_from(["additive", "max-atomic"]))
+    cells = document_cells if kind == "additive" else document_cells.filter(lambda c: cell_value(c) >= 0)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    matrix = data.draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    doc = {"kind": kind, "agents": [f"a{i}" for i in range(n)],
+           "resources": [f"o{j}" for j in range(m)], "matrix": matrix}
+    parsed = parse_instance(json.dumps(doc))
+    text = serialize_instance(parsed)
+    expected = dict(doc, matrix=[[fraction_encoding(c) for c in row] for row in matrix])
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert parse_instance(text) == parsed
+    assert parsed.instance.matrix == tuple(tuple(cell_value(c) for c in row) for row in matrix)
+
+
 def test_round_trip_preserves_reduction_roles():
     reduction = reduce_3cnf_to_po(EXAMPLE_CNF)
     doc = InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)

@@ -63,6 +63,24 @@ def test_max_atomic_kind_and_exactness():
     assert inst.matrix[0][0] == Fraction(1, 2)
 
 
+def test_utilities_are_one_int_matrix_and_one_scale():
+    plain = Additive([[3, -1], [0, 2]])
+    assert plain.rows == ((3, -1), (0, 2)) and plain.scale == 1
+    assert all(type(c) is int for row in plain.rows for c in row)
+    mixed = Additive([[1, Fraction(1, 2)], [Fraction(-1, 3), Fraction(4, 2)]])
+    assert mixed.rows == ((6, 3), (-2, 12)) and mixed.scale == 6
+    assert mixed.matrix == ((1, Fraction(1, 2)), (Fraction(-1, 3), 2))
+    # the scale is the lcm of the reduced denominators, so equal matrices are held alike
+    assert Additive([[Fraction(2, 2), Fraction(3, 6)]]) == Additive([[1, Fraction(1, 2)]])
+    assert Additive([[1]]) != MaxAtomic([[1]])
+    demands = MaxAtomic([[Fraction(1, 4), 0]])
+    assert demands.rows == ((1, 0),) and demands.scale == 4
+    with pytest.raises(ContractError, match=r"demands\[0\]\[1\]: .* got -1/4"):
+        MaxAtomic([[0, Fraction(-1, 4)]])
+    with pytest.raises(ContractError, match=r"coefficients\[1\]\[0\]"):
+        Additive([[1], [True]])
+
+
 def test_zero_resources_allowed():
     inst = additive_instance([[], []])
     assert inst.num_resources == 0

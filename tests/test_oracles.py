@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from fairdiv import (
     is_pareto_optimal,
     leximin_compare,
     max_atomic_instance,
+    parse_instance,
     reduce_3cnf_to_po,
     sat_by_enumeration,
     sat_on_partial,
@@ -39,15 +41,31 @@ literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
 
 
+# negative, zero and positive cells, as ints or as "p/q" with mixed denominators
+mixed_cells = st.integers(-3, 3) | st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 6))
+
+
 @st.composite
 def additive_with_baseline(draw):
+    """A small additive document with mixed cells, read by ``parse_instance``,
+    and a baseline allocation."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     matrix = draw(st.lists(
-        st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=n, max_size=n))
+        st.lists(mixed_cells, min_size=m, max_size=m), min_size=n, max_size=n))
     owner = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)),
                           min_size=m, max_size=m))
-    return additive_instance(matrix), Allocation(owner)
+    doc = {"kind": "additive", "agents": [f"a{i}" for i in range(n)],
+           "resources": [f"o{j}" for j in range(m)], "matrix": matrix}
+    return parse_instance(json.dumps(doc)).instance, Allocation(owner)
+
+
+def fraction_dominates(inst, challenger, incumbent):
+    """Pareto dominance summed over the Fraction view, apart from the int rows."""
+    matrix = inst.matrix
+    u, v = ([sum((matrix[i][j] for j in alloc.bundle(i)), Fraction(0)) for i in range(inst.num_agents)]
+            for alloc in (challenger, incumbent))
+    return all(a >= b for a, b in zip(u, v)) and any(a > b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +148,7 @@ def test_enumeration_reference_guard():
 
 
 @given(additive_with_baseline())
-@settings(max_examples=120)
+@settings(max_examples=200)
 def test_pruned_search_agrees_with_enumeration(case):
     inst, baseline = case
     verdict = find_dominating_allocation(inst, baseline)
@@ -139,6 +157,9 @@ def test_pruned_search_agrees_with_enumeration(case):
     assert verdict.is_yes == (reference is not None)
     if verdict.is_yes:
         assert dominates(inst, verdict.witness, baseline)
+        assert fraction_dominates(inst, verdict.witness, baseline)
+    if reference is not None:
+        assert fraction_dominates(inst, reference, baseline)
 
 
 def test_pareto_wrapper_inverts_the_verdicts():
@@ -204,6 +225,18 @@ def test_eef_with_negative_coefficients_may_need_padding():
     assert verdict.witness.owner == (1, 1)
     assert is_envy_free(inst, verdict.witness)
     assert is_pareto_optimal(inst, verdict.witness).is_yes
+
+
+def test_eef_certifies_a_candidate_deeper_than_the_recursion_limit():
+    # agent a values every resource at 1, agent b none; the baseline gives b
+    # everything (a envies b), and the empty allocation is envy-free but
+    # dominated, which takes a forced 1500-placement line to certify
+    m = 1500
+    inst = additive_instance([[1] * m, [0] * m])
+    baseline = Allocation([1] * m)
+    verdict = brute_force_eef(inst, candidates=[baseline, Allocation.empty(m)])
+    assert verdict.is_no
+    assert verdict.nodes == 2 + m + 1            # two candidates, then the search's nodes
 
 
 def test_eef_candidate_restriction_is_honoured():

@@ -36,8 +36,3 @@ def test_eef_family(tmp_path, capsys, text):
         argv = [str(tmp_path / "f.aecnf")]
     assert load("eef_family").main(argv) == 0
     assert "formula is" in capsys.readouterr().out
-
-
-def test_benchmark_solver(capsys):
-    assert load("benchmark_solver").main(["--sizes", "10"]) == 0
-    assert "weight bits" in capsys.readouterr().out
