@@ -111,8 +111,22 @@ def document_to_dict(doc: InstanceDocument) -> dict:
     return data
 
 
+# what separates two cells of a matrix row in an indent=2 document
+_CELL_SEPARATORS = (",\n      ", ": ")
+
+
 def serialize_instance(doc: InstanceDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(document_to_dict(doc), indent=2, sort_keys=True)`` and a
+    newline.  ``indent`` drops ``json`` to its pure-Python encoder, so each
+    matrix row goes through the C encoder instead, with the indenting spelled
+    out as its separator; the other fields are small."""
+    data = document_to_dict(doc)
+    rows = [json.dumps(row, separators=_CELL_SEPARATORS) for row in data.pop("matrix")]
+    rows = [row if row == "[]" else f"[\n      {row[1:-1]}\n    ]" for row in rows]
+    fields = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+              for key, value in data.items()}
+    fields["matrix"] = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
 def _expect(data: Mapping, key: str, kind: type, where: str):

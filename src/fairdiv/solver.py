@@ -10,8 +10,10 @@ strictly exceeds the total weight of all strictly-larger demands, which makes
 above it.
 
 Weights grow exponentially (they are exact big integers), so the matching is
-solved with an arbitrary-precision Hungarian algorithm rather than a floating
-point library routine.
+solved on Python ints by successive shortest augmenting paths with row and
+column potentials (the Jonker-Volgenant form of the Hungarian method) rather
+than by a floating point library routine.  Ties are broken by an exact
+perturbation built from bit shifts, which makes the optimum unique.
 """
 
 from __future__ import annotations
@@ -36,15 +38,15 @@ class WeightMatrix:
 
     def __init__(self, weights: Iterable[Iterable[int]]):
         rows = []
-        width = None
         for i, row in enumerate(weights):
             row = tuple(row)
-            for j, w in enumerate(row):
-                if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                    raise ContractError(f"weights[{i}][{j}]: expected a non-negative int, got {w!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            # a row is checked by the set of its types and its min; the cells
+            # are scanned only to name the offending one
+            if not set(map(type, row)) <= {int} or min(row, default=0) < 0:
+                for j, w in enumerate(row):
+                    if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+                        raise ContractError(f"weights[{i}][{j}]: expected a non-negative int, got {w!r}")
+            if rows and len(row) != len(rows[0]):
                 raise ContractError("weight matrix must be rectangular")
             rows.append(row)
         object.__setattr__(self, "weights", tuple(rows))
@@ -55,8 +57,10 @@ def generate_weights(instance: Instance) -> WeightMatrix:
 
     Distinct demand values are visited in decreasing order; a value gets
     weight S + 1 where S is the total weight already handed out (counting
-    multiplicity).  This gives the strictly antitone, dominating weight
-    family the matching step relies on:
+    multiplicity).  Since (S + 1)(k + 1) = S + (S + 1)k + 1, the weight is kept
+    as a running product: a value held by k cells multiplies it by k + 1.
+    This gives the strictly antitone, dominating weight family the matching
+    step relies on:
 
       * larger demand  <=>  strictly smaller weight,
       * every weight exceeds the sum, over all matrix cells with strictly
@@ -68,11 +72,10 @@ def generate_weights(instance: Instance) -> WeightMatrix:
     levels = instance.utilities.rows
     counts = Counter(chain.from_iterable(levels))
     weight_of: dict[int, int] = {}
-    handed_out = 0
+    w = 1
     for level in sorted(counts, reverse=True):
-        w = handed_out + 1
         weight_of[level] = w
-        handed_out += w * counts[level]
+        w *= counts[level] + 1
     return WeightMatrix(tuple(tuple(map(weight_of.__getitem__, row)) for row in levels))
 
 
@@ -136,59 +139,71 @@ class Matching:
         return len(self.pairs)
 
 
-def _hungarian(cost: list[list[int]]) -> list[int]:
-    """Minimum-cost perfect assignment of every row to some column.
+def _assign(cost: list[list[int]]) -> list[int]:
+    """Minimum-cost assignment of every row to a distinct column.
 
-    Requires len(cost) <= len(cost[0]).  Classic O(rows^2 * cols) potentials
-    formulation, kept in pure Python ints so the huge exact weights never
-    lose precision.  Returns col_of_row.
+    Requires len(cost) <= len(cost[0]).  Successive shortest augmenting
+    paths, the Jonker-Volgenant form of the Kuhn-Munkres method: each new
+    row runs Dijkstra over the reduced costs ``cost[i][j] - u[i] - v[j]``,
+    which the row potentials ``u`` and column potentials ``v`` keep
+    non-negative, relaxing only the unscanned columns.  The column
+    potentials are updated once per augmentation, over the scanned columns
+    only.  Pure Python ints, so the huge exact costs never lose precision.
+    Returns col_of_row.
     """
     n, m = len(cost), len(cost[0])
-    INF = 1 + 2 * sum(max(row) for row in cost)
-    u = [0] * (n + 1)
-    v = [0] * (m + 1)
-    p = [0] * (m + 1)        # p[j] = 1-based row matched to column j
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            du = u[i0]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - du - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+    u = [0] * n
+    v = [0] * m
+    row_of_col = [-1] * m
     col_of_row = [-1] * n
-    for j in range(1, m + 1):
-        if p[j]:
-            col_of_row[p[j] - 1] = j - 1
+    for s in range(n):
+        dist = [c - vj for c, vj in zip(cost[s], v)]     # u[s] is still 0
+        pred = [s] * m
+        unscanned = list(range(m))
+        scanned = []
+        while True:
+            j = min(unscanned, key=dist.__getitem__)
+            unscanned.remove(j)
+            scanned.append(j)
+            i = row_of_col[j]
+            if i < 0:
+                break
+            row, base = cost[i], dist[j] - u[i]
+            for col in unscanned:
+                d = base + row[col] - v[col]
+                if d < dist[col]:
+                    dist[col] = d
+                    pred[col] = i
+        sink = dist[j]
+        for col in scanned:
+            v[col] += dist[col] - sink
+        while True:                     # flip the path back to s
+            i = pred[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == s:
+                break
+        for col in scanned:             # matched cells get reduced cost 0
+            i = row_of_col[col]
+            u[i] = cost[i][col] - v[col]
     return col_of_row
+
+
+def _tie_break(n: int, m: int) -> tuple[int, int, int]:
+    """``(c, top, b)`` of the exact tie-break for an n x m weight matrix.
+
+    Row i matched to column j scores the base-C digit m - j (below C = 2**c)
+    at position n - i, so the digits of a matching's score spell out its pair
+    set, and maximizing the score picks exactly the lexicographically
+    smallest sorted pair set.  A cell pays the term top - score, which lies
+    in (0, top]; the at most min(n, m) matched cells pay less than S = 2**b
+    in total, so the true weights shifted up by S stay senior.  Every
+    maximum-cardinality matching then costs a different total, the optimum
+    is unique, and any exact solver returns it.
+    """
+    c = (max(n, m) + 2).bit_length()               # C > max(n, m) + 1
+    top = 1 << c * (n + 1)
+    return c, top, (min(n, m) * top).bit_length()  # S > min(n, m) * top
 
 
 def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]]) -> Matching:
@@ -207,25 +222,20 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     if n == 0 or m == 0:
         return Matching(())
 
-    # Encode the tie-break as an exact perturbation.  With C > max(n, m) + 1,
-    # maximizing sum of C^(n-i) * (m-j) over max-cardinality matchings picks
-    # exactly the lexicographically smallest sorted pair set, because each
-    # C^(n-i) outweighs everything later rows/columns can contribute.  Scaling
-    # the true weights by S = (max total perturbation) + 1 keeps them senior.
-    C = max(n, m) + 3
-    top = C ** (n + 1)
-    S = min(n, m) * top + 1
-    aug = []
-    for i, row in enumerate(rows):
-        rank = C ** (n - i)
-        aug.append([w * S + top - rank * (m - j) for j, w in enumerate(row)])
-
+    # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
+    # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
+    # OR-ing it in adds it
+    c, top, b = _tie_break(n, m)
     if n <= m:
-        col_of_row = _hungarian(aug)
-        pairs = [(i, col_of_row[i]) for i in range(n) if col_of_row[i] >= 0]
-    else:
-        row_of_col = _hungarian([list(col) for col in zip(*aug)])
-        pairs = [(row_of_col[j], j) for j in range(m) if row_of_col[j] >= 0]
+        cost = [[(w << b) | (top - ((m - j) << c * (n - i))) for j, w in enumerate(row)]
+                for i, row in enumerate(rows)]
+        col_of_row = _assign(cost)
+        pairs = [(i, col_of_row[i]) for i in range(n)]
+    else:                                          # assign columns to rows
+        cost = [[(w << b) | (top - ((m - j) << c * (n - i))) for i, w in enumerate(col)]
+                for j, col in enumerate(zip(*rows))]
+        row_of_col = _assign(cost)
+        pairs = [(row_of_col[j], j) for j in range(m)]
     return Matching(pairs)
 
 

@@ -141,6 +141,49 @@ def test_serialization_matches_a_per_cell_fraction_encoder(data):
     assert parsed.instance.matrix == tuple(tuple(cell_value(c) for c in row) for row in matrix)
 
 
+def indenting_encoder(doc):
+    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+# ids with quotes, backslashes, control and non-ASCII characters, all escaped by the encoder
+document_ids = st.text(st.sampled_from('ab"\\/\n\té€😀 :'), min_size=1, max_size=4)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_serialization_equals_the_indenting_encoder(data):
+    kind = data.draw(st.sampled_from(["additive", "max-atomic"]))
+    cells = document_cells if kind == "additive" else document_cells.filter(lambda c: cell_value(c) >= 0)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))     # m = 0: empty rows
+    doc = {"kind": kind,
+           "agents": data.draw(st.lists(document_ids, min_size=n, max_size=n, unique=True)),
+           "resources": data.draw(st.lists(document_ids, min_size=m, max_size=m, unique=True)),
+           "matrix": data.draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))}
+    instance = parse_instance(json.dumps(doc)).instance
+    owner = data.draw(st.none() | st.lists(st.none() | st.integers(0, n - 1), min_size=m, max_size=m))
+    parsed = InstanceDocument(instance, None if owner is None else Allocation(owner))
+    assert serialize_instance(parsed) == indenting_encoder(parsed)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(st.just(w), st.lists(
+    st.lists(st.integers(1, w).flatmap(lambda v: st.sampled_from([v, -v])), min_size=1, max_size=3),
+    min_size=1, max_size=4))), st.booleans())
+def test_serialization_of_reductions_equals_the_indenting_encoder(formula, with_baseline):
+    num_vars, clauses = formula
+    reduction = reduce_3cnf_to_po(CnfFormula(num_vars, clauses))
+    doc = InstanceDocument(reduction.instance, reduction.baseline if with_baseline else None,
+                           reduction.mapping)
+    assert serialize_instance(doc) == indenting_encoder(doc)
+
+
+def test_serialization_of_an_eef_gadget_equals_the_indenting_encoder():
+    eef = reduce_ae3cnf_to_eef(AEFormula(2, [1], [2], [[1, 2], [-1, -2]]))
+    doc = InstanceDocument(eef.instance, None, eef.mapping)        # "p/q" cells with roles
+    assert any(isinstance(c, str) for row in document_to_dict(doc)["matrix"] for c in row)
+    assert serialize_instance(doc) == indenting_encoder(doc)
+
+
 def test_round_trip_preserves_reduction_roles():
     reduction = reduce_3cnf_to_po(EXAMPLE_CNF)
     doc = InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)

@@ -25,6 +25,7 @@ from fairdiv import (
     utility_vector,
 )
 from fairdiv.model import ContractError
+from fairdiv.solver import _tie_break
 
 demand_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -86,6 +87,48 @@ def test_weight_matrix_validation():
         WeightMatrix(((1,), (1, 2)))
 
 
+def test_weight_matrix_rejects_a_bool():
+    with pytest.raises(ContractError, match=r"^weights\[1\]\[0\]: expected a non-negative int, got True$"):
+        WeightMatrix(((1, 2), (True, 2)))
+
+
+def test_weight_matrix_rejects_a_float():
+    with pytest.raises(ContractError, match=r"^weights\[0\]\[2\]: expected a non-negative int, got 1\.0$"):
+        WeightMatrix(((1, 2, 1.0),))
+
+
+def test_weight_matrix_rejects_a_negative_value():
+    with pytest.raises(ContractError, match=r"^weights\[1\]\[1\]: expected a non-negative int, got -3$"):
+        WeightMatrix(((0, 4), (5, -3)))
+
+
+def test_weight_matrix_rejects_a_ragged_row():
+    with pytest.raises(ContractError, match=r"^weight matrix must be rectangular$"):
+        WeightMatrix(((1, 2), (3,)))
+    # a bad cell in the ragged row is named first, as the cells come first
+    with pytest.raises(ContractError, match=r"^weights\[1\]\[0\]"):
+        WeightMatrix(((1, 2), (-1,)))
+
+
+def sum_form_weights(instance):
+    """The defining form of the weights: a demand level, visited from the
+    largest down, weighs one more than all the weight handed out before it."""
+    levels = sorted({d for row in instance.matrix for d in row}, reverse=True)
+    weight_of, handed_out = {}, 0
+    for level in levels:
+        weight_of[level] = handed_out + 1
+        handed_out += weight_of[level] * sum(row.count(level) for row in instance.matrix)
+    return tuple(tuple(weight_of[d] for d in row) for row in instance.matrix)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(st.integers(0, 10 ** 6) | st.integers(0, 3), min_size=m, max_size=m),
+                       min_size=n, max_size=n))))
+def test_weights_equal_the_sum_form(matrix):
+    inst = max_atomic_instance(matrix)
+    assert generate_weights(inst).weights == sum_form_weights(inst)
+
+
 def test_invariant_checker_catches_bad_weights():
     inst = max_atomic_instance([[5, 3]])
     with pytest.raises(ContractError):
@@ -107,6 +150,7 @@ def test_weights_on_mixed_denominators(matrix, factor):
     inst = rational_document(matrix)
     weights = generate_weights(inst)
     check_weight_invariants(inst, weights)
+    assert weights.weights == sum_form_weights(inst)
     # the same rationals written differently ("1/3" and "2/6") weigh the same
     assert generate_weights(rational_document(matrix, factor)) == weights
 
@@ -174,6 +218,109 @@ def test_rectangular_matching_is_optimal(n, m, data):
     assert len(matching.pairs) == min(n, m)
     assert matching_weight(rows, matching) == weight
     assert matching.pairs == pairs
+
+
+def emaxx_hungarian(cost):
+    """The classic O(rows^2 * cols) potentials form of the Hungarian method
+    with 1-based potentials, rows <= cols.  Returns col_of_row."""
+    n, m = len(cost), len(cost[0])
+    INF = 1 + 2 * sum(max(row) for row in cost)
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
+    p = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = [-1] * n
+    for j in range(1, m + 1):
+        if p[j]:
+            col_of_row[p[j] - 1] = j - 1
+    return col_of_row
+
+
+def emaxx_matching(rows):
+    """Pairs of the minimum-weight maximum matching, tie-broken by the
+    multiplicative perturbation with C = max(n, m) + 3: a second,
+    independent route to the same unique optimum."""
+    n, m = len(rows), len(rows[0])
+    C = max(n, m) + 3
+    top = C ** (n + 1)
+    S = min(n, m) * top + 1
+    aug = [[w * S + top - C ** (n - i) * (m - j) for j, w in enumerate(row)]
+           for i, row in enumerate(rows)]
+    if n <= m:
+        col_of_row = emaxx_hungarian(aug)
+        return tuple((i, col_of_row[i]) for i in range(n))
+    row_of_col = emaxx_hungarian([list(col) for col in zip(*aug)])
+    return tuple(sorted((row_of_col[j], j) for j in range(m)))
+
+
+def demand_shapes(demand_max):
+    return st.integers(1, 25).flatmap(lambda short: st.integers(short, 35).flatmap(
+        lambda long: st.booleans().flatmap(lambda tall: st.lists(
+            st.lists(st.integers(0, demand_max), min_size=short if tall else long,
+                     max_size=short if tall else long),
+            min_size=long if tall else short, max_size=long if tall else short))))
+
+
+@given(demand_shapes(3))
+@example([[0] * 35] * 25)               # every cell tied
+@example([[1] * 25] * 35)               # every cell tied, transposed
+@settings(max_examples=40, deadline=None)
+def test_matching_equals_the_emaxx_copy_on_narrow_demands(matrix):
+    weights = generate_weights(max_atomic_instance(matrix))
+    assert min_weight_max_matching(weights).pairs == emaxx_matching(weights.weights)
+
+
+@given(demand_shapes(10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_matching_equals_the_emaxx_copy_on_wide_demands(matrix):
+    weights = generate_weights(max_atomic_instance(matrix))
+    assert min_weight_max_matching(weights).pairs == emaxx_matching(weights.weights)
+
+
+def test_tie_break_terms_lie_below_the_weight_shift():
+    for n in range(1, 65):
+        for m in range(1, 65):
+            c, top, b = _tie_break(n, m)
+            assert 1 << c > max(n, m) + 1
+            assert min(n, m) * top < 1 << b
+            # within a row the term grows with j, so its two ends bound it
+            for i in range(n):
+                for j in (0, m - 1):
+                    term = top - ((m - j) << c * (n - i))
+                    assert 0 < term <= top
 
 
 # ---------------------------------------------------------------------------
