@@ -12,6 +12,7 @@ import pathlib
 
 from fairdiv import (
     AEFormula,
+    DEFAULT_BUDGET,
     SearchBudget,
     ae3cnf_eval,
     augment_both_polarities,
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("ae_dimacs", nargs="?", type=pathlib.Path,
                         help="AE-DIMACS file; omit to use the built-in example")
-    parser.add_argument("--budget", type=int, default=10_000_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_nodes)
     args = parser.parse_args(argv)
 
     raw = (parse_ae_dimacs(args.ae_dimacs.read_text())

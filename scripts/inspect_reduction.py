@@ -11,6 +11,7 @@ import pathlib
 
 from fairdiv import (
     CnfFormula,
+    DEFAULT_BUDGET,
     SearchBudget,
     find_dominating_allocation,
     parse_dimacs,
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("dimacs", nargs="?", type=pathlib.Path,
                         help="CNF file; omit to use the built-in example")
-    parser.add_argument("--budget", type=int, default=10_000_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_nodes)
     args = parser.parse_args(argv)
 
     formula = parse_dimacs(args.dimacs.read_text()) if args.dimacs else BUILT_IN

@@ -24,15 +24,14 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
                       parse_instance, rational_from_text, rational_to_json,
                       report_to_json, serialize_instance, sha256_digest,
                       utilities_to_json)
-from .model import ContractError, UtilityVector, find_envy, utility_vector
-from .oracles import (SearchBudget, brute_force_eef, find_dominating_allocation,
-                      is_pareto_optimal, sat_on_partial, ae3cnf_eval)
+from .model import ContractError, UtilityVector, dominates, find_envy, utility_vector
+from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
+                      find_dominating_allocation, is_pareto_optimal,
+                      sat_on_partial, ae3cnf_eval)
 from .reductions import (augment_both_polarities, construct_improvement_eef,
                          construct_improvement_po, reduce_3cnf_to_po,
                          reduce_ae3cnf_to_eef, x_forall_allocation_family)
 from .solver import beats_threshold, solve_leximin
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class _UsageError(Exception):
@@ -60,7 +59,7 @@ def _budget(args) -> SearchBudget:
             return SearchBudget(int(env))
         except ValueError:
             raise ContractError(f"FAIRDIV_BUDGET is not an integer: {env!r}") from None
-    return SearchBudget(DEFAULT_NODE_BUDGET)
+    return DEFAULT_BUDGET
 
 
 def _require_allocation(doc: InstanceDocument):
@@ -169,12 +168,15 @@ def _verify_po(args, text: str):
         "sat_nodes": sat.nodes,
         "dominance_nodes": dominated.nodes,
     }
+    sound = sat.is_yes == dominated.is_yes
     if sat.is_yes:
-        construct_improvement_po(reduction, sat.witness)   # raises if it would not dominate
-        detail["improvement_construction_checked"] = True
+        improvement = construct_improvement_po(reduction, sat.witness)
+        detail["improvement_construction_checked"] = dominates(
+            reduction.instance, improvement, reduction.baseline)
+        sound = sound and detail["improvement_construction_checked"]
     if dominated.is_unknown:
         return "unknown", detail, nodes
-    return ("yes" if sat.is_yes == dominated.is_yes else "no"), detail, nodes
+    return ("yes" if sound else "no"), detail, nodes
 
 
 def _verify_eef(args, text: str):
@@ -202,8 +204,10 @@ def _verify_eef(args, text: str):
             "satisfiable_over_exists": sat.is_yes,
         }
         if sat.is_yes:
-            construct_improvement_eef(reduction, templates[0], sat.witness)
-            entry["improvement_construction_checked"] = True
+            improvement = construct_improvement_eef(reduction, templates[0], sat.witness)
+            entry["improvement_construction_checked"] = dominates(
+                reduction.instance, improvement, templates[0])
+            sound = sound and entry["improvement_construction_checked"]
             entry["template_efficient"] = False
         else:
             certified = find_dominating_allocation(reduction.instance, templates[0], budget)

@@ -171,7 +171,10 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     pos: list[list[tuple[int, int]]] = [
         [(i, rows[i][j]) for i in range(n) if rows[i][j] > 0] for j in range(m)]
     cols = [j for j in range(m) if pos[j]]
-    gap = [sum(c for j in cols for (i2, c) in pos[j] if i2 == i) - base[i] for i in range(n)]
+    gap = [-b for b in base]
+    for j in cols:
+        for i, c in pos[j]:
+            gap[i] += c
     owner: list[Optional[int]] = [None] * m
     unplaced = set(cols)
     # per placed column, innermost last: (column, its candidates not yet tried);

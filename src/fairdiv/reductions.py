@@ -14,7 +14,9 @@ Two constructions live here, both producing additive instances.
   formula is false.  For every assignment ``s`` of the forall block there is
   a family of template allocations (built by ``build_x_forall_allocation``);
   each is always envy-free, and it is Pareto-optimal exactly when the clauses
-  are *unsatisfiable* over the exists block given ``s``.  Helper and
+  are *unsatisfiable* over the exists block given ``s``.  That function is
+  the only place the layout is written; ``construct_improvement_eef``
+  recognises a template by rebuilding it from ``s`` and its flags.  Helper and
   envy-protection agents, compensation resources, and two envy anchor
   resources keep every other corner of the allocation space either envious
   or dominated.
@@ -89,16 +91,6 @@ def _structured_key(side: str, role: str, link: Mapping) -> tuple:
         raise ContractError(f"{side} role {role!r} needs link field {e.args[0]!r}") from None
 
 
-def _add_key(index: dict, side: str, xid: str, role: str, link: Mapping, idx: int) -> None:
-    """Index ``xid``, at position ``idx``, by its structured key; two ids
-    with the same key are a ContractError, since lookups could reach only
-    one of them."""
-    key = _structured_key(side, role, link)
-    if key in index:
-        raise ContractError(f"{side} {xid!r} repeats the structured key {key!r}")
-    index[key] = idx
-
-
 def _lit_id(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
@@ -126,18 +118,30 @@ class ReductionMap:
     def resource(self, *key) -> int:
         return self.resource_key[key]
 
+    def add(self, side: str, xid: str, role: str, link: Mapping, idx: int) -> None:
+        """Record the role and link of ``xid`` and index its position ``idx``
+        by its structured key; two ids on one ``side`` with the same key are
+        a ContractError, since lookups could reach only one of them."""
+        roles, index = ((self.agent_roles, self.agent_key) if side == "agent"
+                        else (self.resource_roles, self.resource_key))
+        key = _structured_key(side, role, link)
+        if key in index:
+            raise ContractError(f"{side} {xid!r} repeats the structured key {key!r}")
+        index[key] = idx
+        roles[xid] = role
+        if link:
+            self.links[xid] = link
+
     @classmethod
     def from_serialized(cls, agent_roles: Mapping[str, str], resource_roles: Mapping[str, str],
                         links: Mapping[str, Mapping], instance: Instance) -> "ReductionMap":
-        agent_key: dict = {}
-        resource_key: dict = {}
-        for side, ids, roles, index in (("agent", instance.agents, agent_roles, agent_key),
-                                        ("resource", instance.resources, resource_roles, resource_key)):
+        mapping = cls({}, {}, {k: dict(v) for k, v in links.items()}, {}, {})
+        for side, ids, roles in (("agent", instance.agents, agent_roles),
+                                 ("resource", instance.resources, resource_roles)):
             for idx, xid in enumerate(ids):
                 if xid in roles:
-                    _add_key(index, side, xid, roles[xid], links.get(xid, {}), idx)
-        return cls(dict(agent_roles), dict(resource_roles), {k: dict(v) for k, v in links.items()},
-                   agent_key, resource_key)
+                    mapping.add(side, xid, roles[xid], mapping.links.get(xid, {}), idx)
+        return mapping
 
 
 class _GadgetBuilder:
@@ -146,29 +150,19 @@ class _GadgetBuilder:
     def __init__(self):
         self.agent_ids: list[str] = []
         self.resource_ids: list[str] = []
-        self.agent_roles: dict = {}
-        self.resource_roles: dict = {}
-        self.links: dict = {}
-        self.agent_key: dict = {}
-        self.resource_key: dict = {}
+        self.mapping = ReductionMap({}, {}, {}, {}, {})
         self.coeff: dict = {}          # (agent index, resource index) -> int or Fraction
 
     def add_agent(self, aid: str, role: str, **link) -> None:
-        _add_key(self.agent_key, "agent", aid, role, link, len(self.agent_ids))
+        self.mapping.add("agent", aid, role, link, len(self.agent_ids))
         self.agent_ids.append(aid)
-        self.agent_roles[aid] = role
-        if link:
-            self.links[aid] = link
 
     def add_resource(self, rid: str, role: str, **link) -> None:
-        _add_key(self.resource_key, "resource", rid, role, link, len(self.resource_ids))
+        self.mapping.add("resource", rid, role, link, len(self.resource_ids))
         self.resource_ids.append(rid)
-        self.resource_roles[rid] = role
-        if link:
-            self.links[rid] = link
 
     def set(self, agent_key: tuple, resource_key: tuple, value) -> None:
-        cell = (self.agent_key[agent_key], self.resource_key[resource_key])
+        cell = (self.mapping.agent_key[agent_key], self.mapping.resource_key[resource_key])
         self.coeff[cell] = value
 
     def instance(self) -> Instance:
@@ -177,10 +171,6 @@ class _GadgetBuilder:
         for (i, j), v in self.coeff.items():
             matrix[i][j] = v
         return Instance(self.agent_ids, self.resource_ids, Additive(matrix))
-
-    def mapping(self) -> ReductionMap:
-        return ReductionMap(self.agent_roles, self.resource_roles, self.links,
-                            self.agent_key, self.resource_key)
 
 
 def _check_clause_sizes(clauses: Iterable[tuple[int, ...]]) -> None:
@@ -254,7 +244,7 @@ def reduce_3cnf_to_po(formula: CnfFormula) -> PoReduction:
     b.set(("satisfied",), ("satisfied",), len(clauses))
     b.set(("unassigned",), ("satisfied",), w + 1)
 
-    mapping = b.mapping()
+    mapping = b.mapping
     owner: list[Optional[int]] = [None] * len(b.resource_ids)
     for v in range(1, w + 1):
         owner[mapping.resource("var", v)] = mapping.agent("unassigned")
@@ -459,12 +449,20 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
                 b.set(("ep", k, lit), ("lit_ep", k, lit), m_value)
     b.set(("unassigned_ep",), ("envy2",), m_value)
 
-    return EefReduction(formula, b.instance(), b.mapping(), Fraction(m_value))
+    return EefReduction(formula, b.instance(), b.mapping, Fraction(m_value))
 
 
 def default_big_m(formula: AEFormula) -> Fraction:
     """The M value ``reduce_ae3cnf_to_eef`` picks when none is supplied."""
     return reduce_ae3cnf_to_eef(formula).big_m
+
+
+def _false_occurrences(formula: AEFormula, svalues: Mapping[int, bool]) -> list[tuple[int, int]]:
+    """The (clause, literal) occurrences of forall literals that the forall
+    assignment ``svalues`` makes false, in clause order."""
+    return [(k, lit) for k, clause in enumerate(formula.clauses) for lit in clause
+            if literal_variable(lit) in svalues
+            and not literal_holds(lit, svalues[literal_variable(lit)])]
 
 
 def build_x_forall_allocation(reduction: EefReduction, s: PartialAssignment,
@@ -489,38 +487,30 @@ def build_x_forall_allocation(reduction: EefReduction, s: PartialAssignment,
     mapping = reduction.mapping
     if not is_assignment_over(s, formula.forall_vars):
         raise ContractError("s must assign exactly the forall variables")
+    svalues = s.as_dict()
     var_choice = dict(var_choice or {})
     lit_choice = dict(lit_choice or {})
     for v in var_choice:
-        if v not in set(formula.forall_vars):
+        if v not in svalues:
             raise ContractError(f"var_choice mentions non-forall variable {v}")
-    universal = set(formula.forall_vars)
-    false_occurrences = {
-        (k, lit)
-        for k, clause in enumerate(formula.clauses)
-        for lit in clause
-        if literal_variable(lit) in universal and not literal_holds(lit, s.get(literal_variable(lit)))}
+    false_occurrences = set(_false_occurrences(formula, svalues))
     for key in lit_choice:
         if key not in false_occurrences:
             raise ContractError(
                 f"lit_choice key {key} is not a universal literal occurrence false under s")
 
     owner: list[Optional[int]] = [None] * reduction.instance.num_resources
-    svalues = s.as_dict()
 
     for k, clause in enumerate(formula.clauses):
         owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
         for lit in clause:
-            if literal_variable(lit) not in universal:
+            if literal_variable(lit) not in svalues:
                 owner[mapping.resource("lit", k, lit)] = mapping.agent("set", lit)
-            elif literal_holds(lit, svalues[literal_variable(lit)]):
-                owner[mapping.resource("lit", k, lit)] = mapping.agent("helper", lit)
-            elif lit_choice.get((k, lit), False):
-                owner[mapping.resource("lit", k, lit)] = mapping.agent("ep", k, lit)
-            else:
-                owner[mapping.resource("lit", k, lit)] = mapping.agent("helper", lit)
-            if literal_variable(lit) in universal:
-                owner[mapping.resource("lit_ep", k, lit)] = mapping.agent("ep", k, lit)
+                continue
+            # only a false occurrence can carry a flag
+            holder = ("ep", k, lit) if lit_choice.get((k, lit), False) else ("helper", lit)
+            owner[mapping.resource("lit", k, lit)] = mapping.agent(*holder)
+            owner[mapping.resource("lit_ep", k, lit)] = mapping.agent("ep", k, lit)
         owner[mapping.resource("clause_comp", k)] = mapping.agent("unassigned")
 
     for v in formula.forall_vars:
@@ -558,74 +548,14 @@ def x_forall_allocation_family(reduction: EefReduction,
     """The template allocations, one per forall assignment (default flags),
     or every flag combination when ``all_flags`` is set."""
     formula = reduction.formula
-    universal = set(formula.forall_vars)
+    flagged_vars = formula.forall_vars if all_flags else ()
     for s in x_forall_assignments(formula):
-        if not all_flags:
-            yield s, build_x_forall_allocation(reduction, s)
-            continue
-        svalues = s.as_dict()
-        false_occ = [
-            (k, lit)
-            for k, clause in enumerate(formula.clauses)
-            for lit in clause
-            if literal_variable(lit) in universal and not literal_holds(lit, svalues[literal_variable(lit)])]
-        for var_bits in itertools.product((False, True), repeat=len(formula.forall_vars)):
-            var_choice = dict(zip(formula.forall_vars, var_bits))
+        false_occ = _false_occurrences(formula, s.as_dict()) if all_flags else []
+        for var_bits in itertools.product((False, True), repeat=len(flagged_vars)):
+            var_choice = dict(zip(flagged_vars, var_bits))
             for lit_bits in itertools.product((False, True), repeat=len(false_occ)):
                 lit_choice = dict(zip(false_occ, lit_bits))
                 yield s, build_x_forall_allocation(reduction, s, var_choice, lit_choice)
-
-
-def _extract_template(reduction: EefReduction, baseline: Allocation):
-    """Recover (s, var_choice, lit_choice) from a template allocation, or
-    raise ContractError if the allocation is not one."""
-    formula = reduction.formula
-    mapping = reduction.mapping
-    owner = baseline.owner
-    if len(owner) != reduction.instance.num_resources:
-        raise ContractError("allocation does not match the instance")
-    universal = set(formula.forall_vars)
-
-    svalues: dict[int, bool] = {}
-    var_choice: dict[int, bool] = {}
-    for v in formula.forall_vars:
-        pos_agent = mapping.agent("set", v)
-        neg_agent = mapping.agent("set", -v)
-        holder = owner[mapping.resource("var", v)]
-        if holder == pos_agent:
-            var_choice[v] = False
-        elif holder == neg_agent:
-            var_choice[v] = True
-        else:
-            raise ContractError(f"o:x{v} is not held by an assignment agent")
-        pos_helper_holder = owner[mapping.resource("helper", v)]
-        neg_helper_holder = owner[mapping.resource("helper", -v)]
-        pos_parked = pos_helper_holder in (pos_agent, neg_agent)
-        neg_parked = neg_helper_holder in (pos_agent, neg_agent)
-        if pos_parked == neg_parked:
-            raise ContractError(f"helper resources of variable {v} do not encode a truth value")
-        svalues[v] = pos_parked
-
-    lit_choice: dict[tuple[int, int], bool] = {}
-    for k, clause in enumerate(formula.clauses):
-        for lit in clause:
-            if literal_variable(lit) not in universal:
-                continue
-            if literal_holds(lit, svalues[literal_variable(lit)]):
-                continue
-            holder = owner[mapping.resource("lit", k, lit)]
-            if holder == mapping.agent("ep", k, lit):
-                lit_choice[(k, lit)] = True
-            elif holder == mapping.agent("helper", lit):
-                lit_choice[(k, lit)] = False
-            else:
-                raise ContractError(f"occurrence resource of clause {k}, literal {lit} misplaced")
-
-    s = PartialAssignment(svalues)
-    rebuilt = build_x_forall_allocation(reduction, s, var_choice, lit_choice)
-    if rebuilt != baseline:
-        raise ContractError("allocation is not a forall-template allocation")
-    return s, var_choice, lit_choice
 
 
 def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
@@ -634,15 +564,24 @@ def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
     ``s`` that satisfies the clauses, build the allocation that dominates the
     template (the unassigned agent gains exactly 1; nobody loses).
 
+    ``s`` is the extension's values on the forall variables; the flags are
+    read off ``baseline``, and the template they select must equal it.
+
     The resulting allocation deliberately leaves the satisfied collector
     envious of the unassigned agent, so it never counts as envy-free."""
-    s, _, _ = _extract_template(reduction, baseline)
     formula = reduction.formula
     mapping = reduction.mapping
     values = _full_assignment(extension, formula.num_vars)
-    for v, bit in s.values:
-        if values[v] != bit:
-            raise ContractError(f"extension disagrees with s on variable {v}")
+    if len(baseline.owner) != reduction.instance.num_resources:
+        raise ContractError("allocation does not match the instance")
+    svalues = {v: values[v] for v in formula.forall_vars}
+    var_choice = {v: baseline.owner[mapping.resource("var", v)] == mapping.agent("set", -v)
+                  for v in formula.forall_vars}
+    lit_choice = {(k, lit): baseline.owner[mapping.resource("lit", k, lit)] == mapping.agent("ep", k, lit)
+                  for k, lit in _false_occurrences(formula, svalues)}
+    template = build_x_forall_allocation(reduction, PartialAssignment(svalues), var_choice, lit_choice)
+    if template != baseline:
+        raise ContractError("allocation is not a template allocation for the extension's forall values")
     if not formula_satisfied(formula.clauses, values):
         raise ContractError("the extension does not satisfy the clauses")
 

@@ -269,6 +269,24 @@ def test_verify_reduction_eef_true_and_false_formulas(tmp_path, capsys):
     assert all(e["templates_envy_free"] for e in entries)
 
 
+def test_verify_reduction_checks_that_each_improvement_dominates(tmp_path, capsys, monkeypatch):
+    # a construction that hands back its baseline improves nothing
+    monkeypatch.setattr(fairdiv.cli, "construct_improvement_po",
+                        lambda reduction, assignment: reduction.baseline)
+    monkeypatch.setattr(fairdiv.cli, "construct_improvement_eef",
+                        lambda reduction, baseline, extension: baseline)
+    formula = tmp_path / "f.cnf"
+    formula.write_text(EXAMPLE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "po", str(formula)])
+    assert (code, report["verdict"]) == (1, "no")
+    assert report["witness"]["improvement_construction_checked"] is False
+    formula.write_text(TRUE_AE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula)])
+    assert (code, report["verdict"]) == (1, "no")
+    assert [e["improvement_construction_checked"] for e in report["witness"]["assignments"]] \
+        == [False, False]
+
+
 def _dimacs(num_vars, clauses):
     return f"p cnf {num_vars} {len(clauses)}\n" + "".join(
         " ".join(map(str, c)) + " 0\n" for c in clauses)

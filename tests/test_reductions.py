@@ -436,3 +436,45 @@ def test_verdicts_survive_a_tenfold_m():
     plain = run_family_checks(false_formula_reduction())[0]
     scaled = run_family_checks(false_formula_reduction(multiplier=10))[0]
     assert plain == scaled
+
+
+# ---------------------------------------------------------------------------
+# template recognition: construct_improvement_eef rebuilds the template
+
+
+TWO_BY_TWO_AE = AEFormula(4, [1, 2], [3, 4], [[1, -2, 3], [-1, 2, -4], [-3, 4]])
+
+
+@pytest.mark.parametrize("formula", [EXAMPLE_AE, augment_both_polarities(FALSE_AE)[0],
+                                     augment_both_polarities(TWO_BY_TWO_AE)[0]],
+                         ids=["example", "false", "two-by-two"])
+def test_eef_improvement_accepts_exactly_the_family_of_s(formula):
+    reduction = reduce_ae3cnf_to_eef(formula)
+    n, m = reduction.instance.num_agents, reduction.instance.num_resources
+    families = {}
+    for s, variant in x_forall_allocation_family(reduction, all_flags=True):
+        families.setdefault(s, set()).add(variant.owner)
+    everything = set().union(*families.values())
+    accepted = expected = 0
+    for s, family in families.items():
+        sat = sat_on_partial(formula.cnf(), s)
+        if not sat.is_yes:
+            continue
+        expected += len(family)
+        # every variant of every s, and every single move away from a variant of s
+        candidates = set(everything)
+        for owner in family:
+            for j in range(m):
+                for who in (None, *range(n)):
+                    candidates.add(owner[:j] + (who,) + owner[j + 1:])
+        for owner in candidates:
+            candidate = Allocation(owner)
+            try:
+                improvement = construct_improvement_eef(reduction, candidate, sat.witness)
+            except ContractError:
+                assert owner not in family
+                continue
+            assert owner in family
+            assert dominates(reduction.instance, improvement, candidate)
+            accepted += 1
+    assert accepted == expected > 0
