@@ -165,60 +165,130 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     Pruning: ``gap[i]`` = current utility + best-case remaining gain - base.
     A placement is feasible only if it keeps every gap non-negative, and a
     branch dies as soon as no agent can end strictly above its baseline.
+
+    Branching: an agent i with a positive cell c in column j is a violator
+    of j while ``gap[i] < c``, since i cannot afford to lose j.  So the
+    feasible owners of an unplaced column are fixed by its violator count:
+    with none, every positive agent (in agent order); with one, that agent
+    alone; with two or more, nobody, and the branch is dead.  A column is
+    critical if it is dead or has a single feasible owner (one violator, or
+    one positive agent).  Each node takes the lowest critical column if
+    there is one, else the lowest of the columns with fewest positive
+    agents — the column a scan of every unplaced column in index order,
+    stopping at the first with at most one feasible owner, would choose.
+
+    State, kept current as placements are made and taken back, so that a
+    node costs work in proportion to the gaps it moves:
+    - per agent, its positive cells sorted by coefficient, and ``top[i]``,
+      how many of them it can still afford (coefficient <= ``gap[i]``);
+    - ``viol[j]``, the violator count of each column;
+    - ``positive``, the number of agents whose gap is above 0;
+    - ``crit``, the unplaced critical columns;
+    - ``bucket``, the unplaced columns grouped by their number of positive
+      agents.
     """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
+    from bisect import bisect_right        # here, so loading the module imports nothing more
     pos: list[list[tuple[int, int]]] = [
-        [(i, rows[i][j]) for i in range(n) if rows[i][j] > 0] for j in range(m)]
-    cols = [j for j in range(m) if pos[j]]
-    gap = [-b for b in base]
-    for j in cols:
-        for i, c in pos[j]:
-            gap[i] += c
+        [(i, c) for i, c in enumerate(column) if c > 0] for column in zip(*rows)]
+    m = len(pos)
+    size = [len(column) for column in pos]
+    cells = [sorted((c, j) for j, c in enumerate(row) if c > 0) for row in rows]
+    coef = [[c for c, _ in incident] for incident in cells]
+    col = [[j for _, j in incident] for incident in cells]
+    gap = [sum(cs) - b for cs, b in zip(coef, base)]
+    top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
+    viol = [0] * m
+    for ks, t in zip(col, top):
+        for k in ks[t:]:
+            viol[k] += 1
+    positive = sum(g > 0 for g in gap)
+    free = [s > 0 for s in size]
+    left = sum(free)
+    crit = {j for j in range(m) if free[j] and (viol[j] or size[j] == 1)}
+    bucket: dict[int, set[int]] = {}
+    for j in range(m):
+        if free[j]:
+            bucket.setdefault(size[j], set()).add(j)
+    sizes = sorted(bucket)
+
+    def drain(column: list[tuple[int, int]], owner: int) -> None:
+        """Place ``column`` on ``owner``: every other positive agent loses its cell."""
+        nonlocal positive
+        for i, c in column:
+            if i == owner:
+                continue
+            old = gap[i]
+            new = gap[i] = old - c
+            if old > 0 >= new:
+                positive -= 1
+            t = top[i]
+            cs = coef[i]
+            if t and cs[t - 1] > new:            # some cells of i just became unaffordable
+                lo = top[i] = bisect_right(cs, new, 0, t - 1)
+                for k in col[i][lo:t]:
+                    viol[k] += 1
+                    if free[k]:
+                        crit.add(k)
+
+    def refill(column: list[tuple[int, int]], owner: int) -> None:
+        """Take back the placement of ``column`` on ``owner``."""
+        nonlocal positive
+        for i, c in column:
+            if i == owner:
+                continue
+            old = gap[i]
+            new = gap[i] = old + c
+            if old <= 0 < new:
+                positive += 1
+            t = top[i]
+            cs = coef[i]
+            if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
+                hi = top[i] = bisect_right(cs, new, t + 1)
+                for k in col[i][t:hi]:
+                    viol[k] -= 1
+                    if not viol[k] and size[k] > 1:
+                        crit.discard(k)
+
     owner: list[Optional[int]] = [None] * m
-    unplaced = set(cols)
     # per placed column, innermost last: (column, its candidates not yet tried);
     # an explicit stack, so the depth is not bounded by Python's recursion limit
     stack: list[tuple[int, Iterator[int]]] = []
     while True:
         counter.spend()                          # a node: the placements on the stack
-        if any(g > 0 for g in gap):              # else nobody can still beat baseline
-            if not unplaced:
+        if positive:                             # else nobody can still beat baseline
+            if not left:
                 return list(owner)
-            # most-constrained column first; forced moves propagate immediately
-            best_j, best_cands = -1, []
-            for j in sorted(unplaced):
-                cands = [a for a, _ in pos[j] if all(gap[i] >= c for i, c in pos[j] if i != a)]
-                if not cands:
-                    best_j = -1                  # some column can no longer be placed
-                    break
-                if best_j < 0 or len(cands) < len(best_cands):
-                    best_j, best_cands = j, cands
-                    if len(cands) == 1:
-                        break
-            if best_j >= 0:
-                unplaced.discard(best_j)
-                stack.append((best_j, iter(best_cands)))
+            if crit:                             # dead, or its one violator or positive agent
+                j = min(crit)
+                column = pos[j]
+                cands = [] if viol[j] > 1 else [
+                    next((i for i, c in column if gap[i] < c), column[0][0])]
+            else:
+                j = next(min(bucket[s]) for s in sizes if bucket[s])
+                cands = [i for i, _ in pos[j]]
+            if cands:
+                free[j] = False
+                left -= 1
+                crit.discard(j)
+                bucket[size[j]].discard(j)
+                stack.append((j, iter(cands)))
         # place the next candidate of the innermost column that has one left
         while stack:
             j, untried = stack[-1]
             if owner[j] is not None:             # take back the placement tried last
-                _shift(gap, pos[j], owner[j], 1)
+                refill(pos[j], owner[j])
             owner[j] = next(untried, None)
             if owner[j] is not None:
-                _shift(gap, pos[j], owner[j], -1)
+                drain(pos[j], owner[j])
                 break
             stack.pop()
-            unplaced.add(j)
+            free[j] = True
+            left += 1
+            bucket[size[j]].add(j)
+            if viol[j] or size[j] == 1:
+                crit.add(j)
         else:
             return None
-
-
-def _shift(gap: list[int], column: list[tuple[int, int]], owner: int, sign: int) -> None:
-    """Add ``sign`` times each coefficient on ``column`` to its agent's gap, the owner's excepted."""
-    for i, c in column:
-        if i != owner:
-            gap[i] += sign * c
 
 
 def find_dominating_allocation(instance: Instance, baseline: Allocation,
@@ -297,19 +367,21 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     counter = _Counter(budget)
     rows = instance.utilities.rows
     n, m = instance.num_agents, instance.num_resources
-    if candidates is None:
-        candidates = (Allocation(owners)
-                      for owners in itertools.product((None, *range(n)), repeat=m))
+    explicit = candidates is not None
+    if not explicit:                     # owner vectors, with an Allocation built only for the witness
+        candidates = itertools.product((None, *range(n)), repeat=m)
     try:
-        for allocation in candidates:
+        for candidate in candidates:
             counter.spend()
-            check_allocation(instance, allocation)
-            bundles = bundles_of(allocation.owner, n)
+            if explicit:
+                check_allocation(instance, candidate)
+            owners = candidate.owner if explicit else candidate
+            bundles = bundles_of(owners, n)
             if envy_in_rows(rows, bundles, additive=True) is not None:
                 continue
             base = [sum(map(row.__getitem__, bundle)) for row, bundle in zip(rows, bundles)]
             if _dominator_search(rows, base, counter) is None:
-                return TriVerdict.yes(allocation, counter.used)
+                return TriVerdict.yes(candidate if explicit else Allocation(owners), counter.used)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)
     return TriVerdict.no(counter.used)

@@ -36,6 +36,7 @@ from fairdiv import (
 )
 from fairdiv.formulas import formula_satisfied
 from fairdiv.model import ContractError
+from fairdiv.oracles import _Counter, _OutOfBudget, _dominator_search
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -183,6 +184,160 @@ def test_satisfiable_reduction_baseline_is_not_optimal():
     verdict = is_pareto_optimal(reduction.instance, reduction.baseline)
     assert verdict.is_no
     assert dominates(reduction.instance, verdict.witness, reduction.baseline)
+
+
+# The search as it was before it kept incremental state: every node
+# re-sorted the unplaced columns and tested each candidate owner against
+# every other positive agent.  Kept here as the reference for the node order.
+
+def previous_dominator_search(rows, base, counter):
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    pos = [[(i, rows[i][j]) for i in range(n) if rows[i][j] > 0] for j in range(m)]
+    cols = [j for j in range(m) if pos[j]]
+    gap = [-b for b in base]
+    for j in cols:
+        for i, c in pos[j]:
+            gap[i] += c
+    owner = [None] * m
+    unplaced = set(cols)
+    stack = []
+    while True:
+        counter.spend()
+        if any(g > 0 for g in gap):
+            if not unplaced:
+                return list(owner)
+            best_j, best_cands = -1, []
+            for j in sorted(unplaced):
+                cands = [a for a, _ in pos[j] if all(gap[i] >= c for i, c in pos[j] if i != a)]
+                if not cands:
+                    best_j = -1
+                    break
+                if best_j < 0 or len(cands) < len(best_cands):
+                    best_j, best_cands = j, cands
+                    if len(cands) == 1:
+                        break
+            if best_j >= 0:
+                unplaced.discard(best_j)
+                stack.append((best_j, iter(best_cands)))
+        while stack:
+            j, untried = stack[-1]
+            if owner[j] is not None:
+                previous_shift(gap, pos[j], owner[j], 1)
+            owner[j] = next(untried, None)
+            if owner[j] is not None:
+                previous_shift(gap, pos[j], owner[j], -1)
+                break
+            stack.pop()
+            unplaced.add(j)
+        else:
+            return None
+
+
+def previous_shift(gap, column, owner, sign):
+    for i, c in column:
+        if i != owner:
+            gap[i] += sign * c
+
+
+@st.composite
+def search_inputs(draw):
+    """Int rows with negative, zero and positive cells (some columns dense
+    with positive cells), a baseline from an allocation, possibly shifted
+    off it, and an ample or a small node budget."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 8))
+    columns = [draw(st.lists(st.integers(1, 4) if draw(st.booleans()) else st.integers(-3, 3),
+                             min_size=n, max_size=n)) for _ in range(m)]
+    rows = [[columns[j][i] for j in range(m)] for i in range(n)]
+    owner = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)), min_size=m, max_size=m))
+    base = [sum(rows[i][j] for j, who in enumerate(owner) if who == i) for i in range(n)]
+    if draw(st.booleans()):
+        base = [b + draw(st.integers(-3, 3)) for b in base]
+    limit = draw(st.sampled_from([10**6]) | st.integers(1, 30))
+    return rows, base, limit
+
+
+def run_search(search, rows, base, limit):
+    counter = _Counter(SearchBudget(limit))
+    try:
+        return search(rows, base, counter), False, counter.used
+    except _OutOfBudget:
+        return None, True, counter.used
+
+
+@given(search_inputs())
+@settings(max_examples=400)
+def test_search_visits_the_nodes_of_the_previous_search(case):
+    rows, base, limit = case
+    assert run_search(_dominator_search, rows, base, limit) == \
+        run_search(previous_dominator_search, rows, base, limit)
+
+
+def core_3cnf(num_vars, num_clauses, seed):
+    """All 8 sign patterns over 3 core variables, filled up with random
+    3-clauses and shuffled: unsatisfiable, and a heavy tail for the search."""
+    rng = random.Random(seed)
+    core = rng.sample(range(1, num_vars + 1), 3)
+    clauses = [[s * v for s, v in zip(signs, core)] for signs in itertools.product((1, -1), repeat=3)]
+    while len(clauses) < num_clauses:
+        clauses.append([v if rng.random() < .5 else -v for v in rng.sample(range(1, num_vars + 1), 3)])
+    rng.shuffle(clauses)
+    return CnfFormula(num_vars, clauses)
+
+
+# node counts and witnesses pinned from the search before incremental state
+
+def test_pinned_search_on_a_satisfiable_gadget():
+    formula = CnfFormula(5, [[1, 2, -3], [-1, 3, 4], [2, -4, 5], [-2, -3, -5], [1, -4, -5], [-1, -2, 4]])
+    reduction = reduce_3cnf_to_po(formula)
+    verdict = find_dominating_allocation(reduction.instance, reduction.baseline)
+    assert verdict.is_yes
+    assert verdict.nodes == 106
+    assert verdict.witness.owner == (6, 8, 11, 12, 14, 17, 17, 17, 17, 17, 17, 0, 0, 0, 7,
+                                     10, 1, 2, 13, 2, 9, 3, 15, 4, 13, 15, 7, 9, 5, 16)
+
+
+def test_pinned_search_on_a_blocked_gadget():
+    formula = CnfFormula(5, [[3], [-3], [1, 2, -4], [-1, 4, 5], [2, -3, -5], [-2, 3, 4]])
+    reduction = reduce_3cnf_to_po(formula)
+    verdict = find_dominating_allocation(reduction.instance, reduction.baseline)
+    assert verdict.is_no
+    assert verdict.nodes == 33
+
+
+def test_pinned_eef_search():
+    verdict = brute_force_eef(additive_instance([[2, -1, 3, 0], [1, 2, 0, 1], [0, 1, 2, 2]]))
+    assert verdict.is_yes
+    assert verdict.nodes == 129
+    assert verdict.witness.owner == (0, 1, 0, 2)
+    verdict = brute_force_eef(additive_instance([[1] * 4] * 3))
+    assert verdict.is_no
+    assert verdict.nodes == 405
+
+
+def test_pinned_search_on_a_heavy_tail_formula():
+    reduction = reduce_3cnf_to_po(core_3cnf(10, 24, 0))
+    verdict = find_dominating_allocation(reduction.instance, reduction.baseline, SearchBudget(20_000))
+    assert verdict.is_unknown
+    assert verdict.nodes == 20_001
+
+
+def test_search_on_a_dense_envy_free_document():
+    # each agent owns 10 resources worth 6-15 to it, the rest worth 0-9:
+    # 16,000 positive-heavy cells, where each node once cost O(sum |pos_j|^2)
+    rng = random.Random(400)
+    n, m = 40, 400
+    owner = [j % n for j in range(m)]
+    rng.shuffle(owner)
+    while True:
+        inst = additive_instance([[rng.randint(6, 15) if owner[j] == i else rng.randint(0, 9)
+                                   for j in range(m)] for i in range(n)])
+        if is_envy_free(inst, Allocation(owner)):
+            break
+    verdict = find_dominating_allocation(inst, Allocation(owner), SearchBudget(30))
+    assert verdict.is_unknown
+    assert verdict.nodes == 31
 
 
 # ---------------------------------------------------------------------------
