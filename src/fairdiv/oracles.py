@@ -202,20 +202,20 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
         for k in ks[t:]:
             viol[k] += 1
     positive = sum(g > 0 for g in gap)
-    free = [s > 0 for s in size]
-    left = sum(free)
-    crit = {j for j in range(m) if free[j] and (viol[j] or size[j] == 1)}
+    crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
     bucket: dict[int, set[int]] = {}
     for j in range(m):
-        if free[j]:
+        if size[j]:
             bucket.setdefault(size[j], set()).add(j)
     sizes = sorted(bucket)
+    placeable = m - size.count(0)
+    owner: list[Optional[int]] = [None] * m
 
-    def drain(column: list[tuple[int, int]], owner: int) -> None:
-        """Place ``column`` on ``owner``: every other positive agent loses its cell."""
+    def drain(column: list[tuple[int, int]], taker: int) -> None:
+        """Place ``column`` on ``taker``: every other positive agent loses its cell."""
         nonlocal positive
         for i, c in column:
-            if i == owner:
+            if i == taker:
                 continue
             old = gap[i]
             new = gap[i] = old - c
@@ -227,14 +227,14 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 lo = top[i] = bisect_right(cs, new, 0, t - 1)
                 for k in col[i][lo:t]:
                     viol[k] += 1
-                    if free[k]:
+                    if owner[k] is None:             # k is unplaced
                         crit.add(k)
 
-    def refill(column: list[tuple[int, int]], owner: int) -> None:
-        """Take back the placement of ``column`` on ``owner``."""
+    def refill(column: list[tuple[int, int]], taker: int) -> None:
+        """Take back the placement of ``column`` on ``taker``."""
         nonlocal positive
         for i, c in column:
-            if i == owner:
+            if i == taker:
                 continue
             old = gap[i]
             new = gap[i] = old + c
@@ -249,14 +249,13 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                     if not viol[k] and size[k] > 1:
                         crit.discard(k)
 
-    owner: list[Optional[int]] = [None] * m
     # per placed column, innermost last: (column, its candidates not yet tried);
     # an explicit stack, so the depth is not bounded by Python's recursion limit
     stack: list[tuple[int, Iterator[int]]] = []
     while True:
         counter.spend()                          # a node: the placements on the stack
         if positive:                             # else nobody can still beat baseline
-            if not left:
+            if len(stack) == placeable:          # the stack holds every placed column
                 return list(owner)
             if crit:                             # dead, or its one violator or positive agent
                 j = min(crit)
@@ -267,8 +266,6 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 j = next(min(bucket[s]) for s in sizes if bucket[s])
                 cands = [i for i, _ in pos[j]]
             if cands:
-                free[j] = False
-                left -= 1
                 crit.discard(j)
                 bucket[size[j]].discard(j)
                 stack.append((j, iter(cands)))
@@ -282,8 +279,6 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 drain(pos[j], owner[j])
                 break
             stack.pop()
-            free[j] = True
-            left += 1
             bucket[size[j]].add(j)
             if viol[j] or size[j] == 1:
                 crit.add(j)
