@@ -227,7 +227,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 lo = top[i] = bisect_right(cs, new, 0, t - 1)
                 for k in col[i][lo:t]:
                     viol[k] += 1
-                    if owner[k] is None:             # k is unplaced
+                    if owner[k] is None:         # k is unplaced
                         crit.add(k)
 
     def refill(column: list[tuple[int, int]], taker: int) -> None:
