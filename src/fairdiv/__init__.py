@@ -20,7 +20,7 @@ from .reductions import (EefReduction, PoReduction, ReductionMap,
                          construct_improvement_eef, construct_improvement_po,
                          default_big_m, reduce_3cnf_to_po, reduce_ae3cnf_to_eef,
                          x_forall_allocation_family, x_forall_assignments)
-from .formats import (FormatError, InstanceDocument, Report, exit_code,
+from .formats import (FormatError, InstanceDocument, exit_code,
                       parse_ae_dimacs, parse_dimacs, parse_instance,
                       serialize_instance)
 

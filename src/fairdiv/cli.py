@@ -27,7 +27,7 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
 from .model import ContractError, UtilityVector, dominates, find_envy, utility_vector
 from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
                       find_dominating_allocation, is_pareto_optimal,
-                      sat_on_partial, ae3cnf_eval)
+                      sat_on_partial)
 from .reductions import (augment_both_polarities, construct_improvement_eef,
                          construct_improvement_po, reduce_3cnf_to_po,
                          reduce_ae3cnf_to_eef, x_forall_allocation_family)
@@ -221,7 +221,8 @@ def _verify_eef(args, text: str):
                 if certified.is_no:
                     family_has_eef = True
         per_assignment.append(entry)
-    truth = ae3cnf_eval(formula)
+    # true when every forall assignment leaves the clauses satisfiable over the exists block
+    truth = all(entry["satisfiable_over_exists"] for entry in per_assignment)
     detail = {
         "agents": reduction.instance.num_agents,
         "resources": reduction.instance.num_resources,
@@ -309,10 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     try:
         return args.func(args)
-    except (ContractError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (ContractError, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:

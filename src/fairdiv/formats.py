@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Union
 
-from .model import (Additive, Allocation, ContractError, Instance, MaxAtomic,
+from .model import (UTILITY_MODELS, Allocation, ContractError, Instance,
                     Rational, UtilityVector)
 from .formulas import AEFormula, CnfFormula
-from .reductions import ReductionMap
+from .reductions import ROLES, ReductionMap
 
 
 class FormatError(ValueError):
@@ -32,7 +32,8 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # rationals
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)/([1-9]\d*)$")
+# p or p/q in ASCII digits; a command-line token may be either, a document string only p/q
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rational_to_json(value: Rational, scale: int = 1) -> Union[int, str]:
@@ -51,8 +52,8 @@ def rational_from_json(value: object, where: str) -> Rational:
     if isinstance(value, float):
         raise FormatError(f'{where}: floats are not exact; write rationals as "p/q" strings')
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value)
-        if not match:
+        match = _RATIONAL_RE.fullmatch(value)
+        if not match or match.group(2) is None:
             raise FormatError(f"{where}: malformed rational {value!r}")
         try:
             return Fraction(int(match.group(1)), int(match.group(2)))
@@ -62,15 +63,17 @@ def rational_from_json(value: object, where: str) -> Rational:
 
 
 def rational_from_text(token: str) -> Fraction:
-    """Rational from a command-line token: an integer or p/q."""
+    """Rational from a command-line token: an integer or p/q, in ASCII
+    digits, with surrounding whitespace ignored."""
     token = token.strip()
-    match = _RATIONAL_RE.match(token)
+    match = _RATIONAL_RE.fullmatch(token)
+    shown = token if len(token) <= 40 else token[:40] + "..."
+    if not match:
+        raise ContractError(f"malformed rational {shown!r}: expected an integer or p/q")
+    numerator, denominator = match.groups()
     try:
-        if match:
-            return Fraction(int(match.group(1)), int(match.group(2)))
-        return Fraction(int(token))
-    except ValueError as e:              # not a rational, or more digits than int() converts
-        shown = token if len(token) <= 40 else token[:40] + "..."
+        return Fraction(int(numerator), int(denominator or 1))
+    except ValueError as e:              # more digits than int() converts
         raise ContractError(f"malformed rational {shown!r}: {e}") from None
 
 
@@ -88,6 +91,7 @@ class InstanceDocument:
 
 
 _DOCUMENT_KEYS = {"kind", "agents", "resources", "matrix", "allocation", "roles"}
+_LINK_FIELDS = {field for roles in ROLES.values() for _, fields in roles.values() for field in fields}
 
 
 def document_to_dict(doc: InstanceDocument) -> dict:
@@ -185,8 +189,10 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
         raise FormatError(f"document: unknown field {sorted(unknown)[0]!r}")
 
     kind = _expect(data, "kind", str, "document")
-    if kind not in ("additive", "max-atomic"):
-        raise FormatError(f'document.kind: expected "additive" or "max-atomic", got {kind!r}')
+    model = next((cls for cls in UTILITY_MODELS if cls.kind == kind), None)
+    if model is None:
+        expected = " or ".join(f'"{cls.kind}"' for cls in UTILITY_MODELS)
+        raise FormatError(f"document.kind: expected {expected}, got {kind!r}")
     agents = _expect(data, "agents", list, "document")
     resources = _expect(data, "resources", list, "document")
     for label, ids in (("agents", agents), ("resources", resources)):
@@ -213,8 +219,7 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
         matrix.append(row)
 
     try:
-        utilities = Additive(matrix) if kind == "additive" else MaxAtomic(matrix)
-        instance = Instance(agents, resources, utilities)
+        instance = Instance(agents, resources, model(matrix))
     except ContractError as e:
         raise FormatError(f"document: {e}") from None
 
@@ -264,7 +269,7 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
             if not isinstance(link, Mapping):
                 raise FormatError(f"document.roles.links[{key!r}]: expected an object")
             for field, value in link.items():
-                if field not in ("clause", "literal", "variable"):
+                if field not in _LINK_FIELDS:
                     raise FormatError(f"document.roles.links[{key!r}]: unknown field {field!r}")
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise FormatError(f"document.roles.links[{key!r}].{field}: expected an int")
@@ -387,46 +392,23 @@ def parse_ae_dimacs(text: str) -> AEFormula:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class Report:
-    """What a CLI run did: verdict, witness, node count, timing, and the
-    digests of its inputs."""
-
-    command: str
-    verdict: str                 # "yes" | "no" | "unknown"
-    witness: object
-    stats: dict
-    provenance: dict
-    generated_at: str
-
-
 def make_report(command: str, verdict: str, *, witness: object = None, nodes: int = 0,
-                wall_ms: float = 0.0, inputs: Optional[Mapping[str, str]] = None) -> Report:
-    if verdict not in ("yes", "no", "unknown"):
-        raise ContractError(f"unknown verdict {verdict!r}")
-    return Report(
-        command=command,
-        verdict=verdict,
-        witness=witness,
-        stats={"nodes": nodes, "wall_ms": wall_ms},
-        provenance={"inputs": dict(inputs or {})},
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-
-def report_to_dict(report: Report) -> dict:
+                wall_ms: float = 0.0, inputs: Optional[Mapping[str, str]] = None) -> dict:
+    """What a CLI run did: verdict ("yes", "no" or "unknown"), witness, node
+    count, timing, and the digests of its inputs."""
+    exit_code(verdict)                   # rejects an unknown verdict
     return {
-        "command": report.command,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "stats": dict(report.stats),
-        "provenance": dict(report.provenance),
-        "generated_at": report.generated_at,
+        "command": command,
+        "verdict": verdict,
+        "witness": witness,
+        "stats": {"nodes": nodes, "wall_ms": wall_ms},
+        "provenance": {"inputs": dict(inputs or {})},
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
 
-def report_to_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+def report_to_json(report: Mapping) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def strip_volatile(report_data: Mapping) -> dict:

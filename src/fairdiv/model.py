@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -68,7 +69,10 @@ class _ScaledUtilities:
     """Utilities held as one immutable int matrix ``rows`` and one scale, the
     lcm of the cell denominators: cell (i, j) is worth ``rows[i][j] / scale``.
     Equal matrices are held alike, and hot loops compare the ints directly,
-    since a positive scale keeps every order and equality."""
+    since a positive scale keeps every order and equality.  Each model names
+    itself by ``kind``, as documents do, and prices a bundle by ``total``,
+    a function of the bundle's cells in any unit (a staticmethod, since
+    ``functools.partial`` binds as a method from Python 3.14 on)."""
 
     rows: tuple[tuple[int, ...], ...]
     scale: int
@@ -90,7 +94,9 @@ class Additive(_ScaledUtilities):
     """Additive utilities: the value of a bundle is the sum of per-resource
     coefficients.  Coefficients may be negative."""
 
+    kind = "additive"
     _what = "coefficients"
+    total = staticmethod(sum)
 
 
 class MaxAtomic(_ScaledUtilities):
@@ -98,7 +104,9 @@ class MaxAtomic(_ScaledUtilities):
     and a bundle is worth the largest demand it contains (0 when empty).
     Demands must be non-negative."""
 
+    kind = "max-atomic"
     _what = "demands"
+    total = staticmethod(partial(max, default=0))
 
     def __init__(self, demands: Iterable[Iterable[object]]):
         super().__init__(demands)
@@ -110,6 +118,7 @@ class MaxAtomic(_ScaledUtilities):
 
 
 UtilitySpec = Union[Additive, MaxAtomic]
+UTILITY_MODELS = (Additive, MaxAtomic)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ class Instance:
                 raise ContractError(f"{name} ids must be non-empty strings")
             if len(set(ids)) != len(ids):
                 raise ContractError(f"duplicate {name} id")
-        if not isinstance(utilities, (Additive, MaxAtomic)):
+        if not isinstance(utilities, UTILITY_MODELS):
             raise ContractError(f"unsupported utility model: {utilities!r}")
         rows = utilities.rows
         if len(rows) != len(agents):
@@ -152,7 +161,7 @@ class Instance:
 
     @property
     def kind(self) -> str:
-        return "additive" if isinstance(self.utilities, Additive) else "max-atomic"
+        return self.utilities.kind
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -221,6 +230,15 @@ def check_allocation(instance: Instance, allocation: Allocation) -> None:
             raise ContractError(f"owner[{j}] = {who} is not an agent index")
 
 
+def bundles_of(owner: Sequence[Optional[int]], num_agents: int) -> list[list[int]]:
+    """Each agent's resource indices under an owner vector, in order."""
+    bundles: list[list[int]] = [[] for _ in range(num_agents)]
+    for j, who in enumerate(owner):
+        if who is not None:
+            bundles[who].append(j)
+    return bundles
+
+
 def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     """Value of a set of resources to one agent under the instance's model."""
     if not 0 <= agent < instance.num_agents:
@@ -232,9 +250,7 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
         if not 0 <= j < instance.num_resources:
             raise ContractError(f"resource index {j} out of range")
         items.append(row[j])
-    # max-atomic: worth of the single best item; an empty bundle is worth 0
-    total = sum(items) if isinstance(utilities, Additive) else max(items, default=0)
-    return Fraction(total, utilities.scale)
+    return Fraction(utilities.total(items), utilities.scale)
 
 
 @dataclass(frozen=True)
@@ -261,18 +277,10 @@ class UtilityVector:
 def scaled_utilities(instance: Instance, allocation: Allocation) -> list[int]:
     """Each agent's utility under ``allocation``, times the instance's scale."""
     check_allocation(instance, allocation)
-    additive = isinstance(instance.utilities, Additive)
-    rows = instance.utilities.rows
-    totals = [0] * instance.num_agents      # demands are >= 0: an empty bundle is worth 0
-    for j, who in enumerate(allocation.owner):
-        if who is None:
-            continue
-        v = rows[who][j]
-        if additive:
-            totals[who] += v
-        elif v > totals[who]:
-            totals[who] = v
-    return totals
+    utilities = instance.utilities
+    total = utilities.total
+    bundles = bundles_of(allocation.owner, instance.num_agents)
+    return [total(map(row.__getitem__, bundle)) for row, bundle in zip(utilities.rows, bundles)]
 
 
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
@@ -303,26 +311,14 @@ def leximin_compare(left: UtilityVector, right: UtilityVector) -> Ordering:
     return Ordering.EQUAL
 
 
-def bundles_of(owner: Sequence[Optional[int]], num_agents: int) -> list[list[int]]:
-    """Each agent's resource indices under an owner vector, in order."""
-    bundles: list[list[int]] = [[] for _ in range(num_agents)]
-    for j, who in enumerate(owner):
-        if who is not None:
-            bundles[who].append(j)
-    return bundles
-
-
-def envy_in_rows(rows: Iterable[Sequence[int]], bundles: Sequence[Sequence[int]],
-                 additive: bool) -> Optional[tuple[int, int]]:
-    """The integer kernel of ``find_envy``: ``rows`` holds agent i's
-    utilities as ints at any positive scale of i's own.  Each row prices
-    every bundle in one pass, and agents are checked in order."""
-    for i, row in enumerate(rows):
+def envy_in_rows(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """The integer kernel of ``find_envy``: each row of ``utilities`` prices
+    every bundle in one pass by the model's ``total``, and agents are
+    checked in order."""
+    total = utilities.total
+    for i, row in enumerate(utilities.rows):
         price = row.__getitem__
-        if additive:
-            values = [sum(map(price, bundle)) for bundle in bundles]
-        else:                                   # demands are >= 0: an empty bundle is worth 0
-            values = [max(map(price, bundle), default=0) for bundle in bundles]
+        values = [total(map(price, bundle)) for bundle in bundles]
         own = values[i]
         for j, v in enumerate(values):
             if v > own and j != i:
@@ -334,8 +330,7 @@ def find_envy(instance: Instance, allocation: Allocation) -> Optional[tuple[int,
     """First pair (i, j) such that agent i strictly prefers j's bundle to its
     own, or None if the allocation is envy-free."""
     check_allocation(instance, allocation)
-    return envy_in_rows(instance.utilities.rows, bundles_of(allocation.owner, instance.num_agents),
-                        isinstance(instance.utilities, Additive))
+    return envy_in_rows(instance.utilities, bundles_of(allocation.owner, instance.num_agents))
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:

@@ -360,7 +360,8 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
-    rows = instance.utilities.rows
+    utilities = instance.utilities
+    rows, total = utilities.rows, utilities.total
     n, m = instance.num_agents, instance.num_resources
     explicit = candidates is not None
     if not explicit:                     # owner vectors, with an Allocation built only for the witness
@@ -372,9 +373,9 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
                 check_allocation(instance, candidate)
             owners = candidate.owner if explicit else candidate
             bundles = bundles_of(owners, n)
-            if envy_in_rows(rows, bundles, additive=True) is not None:
+            if envy_in_rows(utilities, bundles) is not None:
                 continue
-            base = [sum(map(row.__getitem__, bundle)) for row, bundle in zip(rows, bundles)]
+            base = [total(map(row.__getitem__, bundle)) for row, bundle in zip(rows, bundles)]
             if _dominator_search(rows, base, counter) is None:
                 return TriVerdict.yes(candidate if explicit else Allocation(owners), counter.used)
     except _OutOfBudget:

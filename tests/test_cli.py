@@ -11,6 +11,7 @@ from fairdiv import (
     serialize_instance,
 )
 import fairdiv.cli
+import fairdiv.oracles
 import fairdiv.reductions
 import fairdiv.solver
 from fairdiv.cli import main
@@ -65,6 +66,9 @@ def test_solve_leximin_threshold_decision(tmp_path, capsys):
     assert code == 3 and "error:" in err
     code, _, err = run(capsys, ["solve-leximin", path, "--K", "0.5,1"])
     assert code == 3
+    for token in ("1_0", "+3", "\u0663", "\uff13", "1/1\u0662"):   # ASCII digits only
+        code, report, err = run(capsys, ["solve-leximin", path, "--K", f"1,{token}"])
+        assert (code, report) == (3, None) and "malformed rational" in err
 
 
 def test_solve_leximin_threshold_solves_once(tmp_path, capsys, monkeypatch):
@@ -345,6 +349,24 @@ def test_verify_reduction_all_flags_builds_the_family_once(tmp_path, capsys, mon
     assert code == 0
     assert walks == [{"all_flags": True}]
     assert [e["templates_checked"] for e in report["witness"]["assignments"]] == [16, 4]
+
+
+def test_verify_reduction_eef_decides_each_forall_assignment_once(tmp_path, capsys, monkeypatch):
+    # the formula's truth comes from the per-assignment verdicts, not a second sweep
+    calls = []
+    original = fairdiv.oracles.sat_on_partial
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fairdiv.cli, "sat_on_partial", counting)
+    monkeypatch.setattr(fairdiv.oracles, "sat_on_partial", counting)
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(TRUE_AE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula)])
+    assert code == 0 and report["witness"]["formula_true"] is True
+    assert len(calls) == 2 ** 1
 
 
 def test_verify_reduction_unknown_on_tiny_budget(tmp_path, capsys):

@@ -30,7 +30,6 @@ from fairdiv.formats import (
     rational_from_json,
     rational_from_text,
     rational_to_json,
-    report_to_dict,
     report_to_json,
     sha256_digest,
     strip_volatile,
@@ -64,13 +63,22 @@ def test_rational_json_rejects_floats_and_bools():
         rational_from_json("1.5", "x")
     with pytest.raises(FormatError):
         rational_from_json("", "x")
+    # one ASCII grammar, matched whole: no trailing newline, no other digits,
+    # and a bare integer only as a JSON int
+    for text in ("1/2\n", "1/1\u0662", "\u0663/2", "+1/2", "1_0/3", "3"):
+        with pytest.raises(FormatError):
+            rational_from_json(text, "x")
 
 
 def test_rational_from_text():
     assert rational_from_text("-3") == Fraction(-3)
     assert rational_from_text("5/2") == Fraction(5, 2)
+    assert rational_from_text(" 1/2\n") == Fraction(1, 2)
     with pytest.raises(ContractError):
         rational_from_text("2.5")
+    for token in ("1_0", "+3", "\u0663", "\uff13", "1/1\u0662", "1/0", "", "-"):
+        with pytest.raises(ContractError):
+            rational_from_text(token)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +497,8 @@ def test_parse_instance_raises_only_format_errors(text):
 
 
 def test_make_report_shape():
-    report = make_report("check-pareto", "no", witness={"x": 1}, nodes=17,
-                         wall_ms=3.5, inputs={"f.json": "sha256:00"})
-    data = report_to_dict(report)
+    data = make_report("check-pareto", "no", witness={"x": 1}, nodes=17,
+                       wall_ms=3.5, inputs={"f.json": "sha256:00"})
     assert data["verdict"] == "no"
     assert data["stats"] == {"nodes": 17, "wall_ms": 3.5}
     assert data["provenance"] == {"inputs": {"f.json": "sha256:00"}}
@@ -503,7 +510,7 @@ def test_make_report_shape():
 def test_report_json_is_stable_modulo_volatile_fields():
     a = make_report("find-eef", "yes", nodes=3, wall_ms=1.0)
     b = make_report("find-eef", "yes", nodes=3, wall_ms=2.0)
-    assert strip_volatile(report_to_dict(a)) == strip_volatile(report_to_dict(b))
+    assert strip_volatile(a) == strip_volatile(b)
     stripped = strip_volatile(json.loads(report_to_json(a)))
     assert "generated_at" not in stripped
     assert stripped["stats"] == {"nodes": 3}
@@ -517,7 +524,7 @@ def test_exit_code_is_a_pure_function_of_the_verdict():
         exit_code("perhaps")
     for verdict, expected in (("yes", 0), ("no", 1), ("unknown", 2)):
         report = make_report("anything", verdict, nodes=99)
-        assert exit_code(report.verdict) == expected
+        assert exit_code(report["verdict"]) == expected
 
 
 def test_sha256_digest_format():

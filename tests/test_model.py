@@ -294,6 +294,30 @@ def test_find_envy_matches_bundle_utility(case):
     assert find_envy(inst, alloc) == _envy_by_definition(inst, alloc)
 
 
+def _price_by_definition(inst, row, bundle):
+    """What ``bundle`` is worth to the agent whose ``inst.matrix`` row is
+    ``row``: the Fraction sum of its cells if additive, else the best cell,
+    0 if empty."""
+    cells = [row[j] for j in bundle]
+    if isinstance(inst.utilities, Additive):
+        return sum(cells, Fraction(0))
+    return max(cells) if cells else Fraction(0)
+
+
+@given(instance_with_allocation())
+def test_bundle_rule_matches_the_definition(case):
+    inst, alloc = case
+    n = inst.num_agents
+    bundles = [alloc.bundle(i) for i in range(n)]
+    prices = [[_price_by_definition(inst, row, bundle) for bundle in bundles] for row in inst.matrix]
+    for i in range(n):
+        for j in range(n):
+            assert bundle_utility(inst, i, bundles[j]) == prices[i][j]
+    assert utility_vector(inst, alloc).values == tuple(prices[i][i] for i in range(n))
+    envious = [(i, j) for i in range(n) for j in range(n) if i != j and prices[i][j] > prices[i][i]]
+    assert find_envy(inst, alloc) == (envious[0] if envious else None)
+
+
 def test_find_envy_mixed_denominators_by_row():
     # row 0 in thirds, row 1 in halves: 1/3 + 1/3 < 3/4 for agent 0
     inst = additive_instance([[Fraction(1, 3), Fraction(1, 3), Fraction(3, 4)],
