@@ -14,6 +14,11 @@ solved on Python ints by successive shortest augmenting paths with row and
 column potentials (the Jonker-Volgenant form of the Hungarian method) rather
 than by a floating point library routine.  Ties are broken by an exact
 perturbation built from bit shifts, which makes the optimum unique.
+
+The same domination lets the matching skip most cells: once the cells at or
+below a weight cap hold a maximum matching, and every weight above the cap
+exceeds their total, no optimal matching uses a cell above it (a
+lexicographic bottleneck argument; see ``min_weight_max_matching``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
                     UtilityVector, WrongUtilityKind, leximin_compare,
@@ -139,40 +144,52 @@ class Matching:
         return len(self.pairs)
 
 
-def _assign(cost: list[list[int]]) -> list[int]:
-    """Minimum-cost assignment of every row to a distinct column.
+_UNREACHED = float("inf")                # above every int, however large
 
-    Requires len(cost) <= len(cost[0]).  Successive shortest augmenting
-    paths, the Jonker-Volgenant form of the Kuhn-Munkres method: each new
-    row runs Dijkstra over the reduced costs ``cost[i][j] - u[i] - v[j]``,
-    which the row potentials ``u`` and column potentials ``v`` keep
-    non-negative, relaxing only the unscanned columns.  The column
+
+def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
+    """Minimum-cost assignment of every row to a distinct column, over the
+    cells present in the per-row ``{col: cost}`` maps; None when no such
+    assignment exists.
+
+    Successive shortest augmenting paths, the Jonker-Volgenant form of the
+    Kuhn-Munkres method: each new row runs Dijkstra over the reduced costs
+    ``cost[i][j] - u[i] - v[j]``, which the row potentials ``u`` and column
+    potentials ``v`` keep non-negative, relaxing only the cells of the rows
+    it reaches.  A Dijkstra that runs out of reached columns before it finds
+    a free one proves that no augmenting path exists.  The column
     potentials are updated once per augmentation, over the scanned columns
     only.  Pure Python ints, so the huge exact costs never lose precision.
     Returns col_of_row.
     """
-    n, m = len(cost), len(cost[0])
+    n = len(costs)
     u = [0] * n
     v = [0] * m
     row_of_col = [-1] * m
     col_of_row = [-1] * n
     for s in range(n):
-        dist = [c - vj for c, vj in zip(cost[s], v)]     # u[s] is still 0
+        dist = [_UNREACHED] * m
         pred = [s] * m
-        unscanned = list(range(m))
+        frontier = {}                       # reached, not yet scanned
+        for col, c in costs[s].items():
+            dist[col] = frontier[col] = c - v[col]      # u[s] is still 0
         scanned = []
         while True:
-            j = min(unscanned, key=dist.__getitem__)
-            unscanned.remove(j)
+            if not frontier:
+                return None
+            j = min(frontier, key=frontier.__getitem__)
+            del frontier[j]
             scanned.append(j)
             i = row_of_col[j]
             if i < 0:
                 break
-            row, base = cost[i], dist[j] - u[i]
-            for col in unscanned:
-                d = base + row[col] - v[col]
+            base = dist[j] - u[i]
+            # a scanned column's distance is at most dist[j], so the strict
+            # test below never reopens it
+            for col, c in costs[i].items():
+                d = base + c - v[col]
                 if d < dist[col]:
-                    dist[col] = d
+                    dist[col] = frontier[col] = d
                     pred[col] = i
         sink = dist[j]
         for col in scanned:
@@ -185,8 +202,22 @@ def _assign(cost: list[list[int]]) -> list[int]:
                 break
         for col in scanned:             # matched cells get reduced cost 0
             i = row_of_col[col]
-            u[i] = cost[i][col] - v[col]
+            u[i] = costs[i][col] - v[col]
     return col_of_row
+
+
+def _cuts(weights: list[int]) -> Iterator[tuple[int, int]]:
+    """Yield ``(count, cap)`` for every cap at which the weight cut holds, in
+    increasing order: the ``count`` cells of weight at most ``cap`` weigh
+    less, in total, than any cell above it.  One sorted running-sum pass,
+    taken only as far as the caller reads; the last cap admits every cell."""
+    flat = sorted(weights)
+    total = 0
+    for count, (w, above) in enumerate(zip(flat, flat[1:]), 1):
+        total += w
+        if above > total:               # weights are >= 0, so above > w too
+            yield count, w
+    yield len(flat), flat[-1]
 
 
 def _tie_break(n: int, m: int) -> tuple[int, int, int]:
@@ -212,6 +243,19 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     Ties on total weight are broken deterministically: among all optimal
     matchings the one whose sorted pair list is lexicographically smallest is
     returned (prefer low row indices matched, then low column indices).
+
+    Only the *admitted* cells, those of weight at most a cap X, are solved
+    on, where X is chosen so that the cut holds: every weight above X
+    exceeds the total weight W of the admitted cells.  With the tie-break
+    terms (below S in total) an admitted maximum matching then costs less
+    than (W + 1) * S, and any matching using a cell above X costs at least
+    that much, so the optimum over the admitted cells, when they hold a
+    maximum matching, is the optimum over all cells.  The weights of
+    ``generate_weights`` satisfy the cut at every demand level; any other
+    weights at least at their largest value, where every cell is admitted.
+    The first cap is the largest of the cheapest weights of the lines that
+    must all be matched; each time the admitted cells hold no maximum
+    matching, the admitted count at least doubles.
     """
     if isinstance(weights, WeightMatrix):
         rows = weights.weights
@@ -222,21 +266,36 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     if n == 0 or m == 0:
         return Matching(())
 
+    # every row is matched when n <= m, every column otherwise
+    lines = rows if n <= m else tuple(zip(*rows))
+    cap = max(map(min, lines))
+    flat = list(chain.from_iterable(lines))
+    admitted = [w for w in flat if w <= cap]
+    total = sum(admitted)
+    cuts = _cuts(flat)                  # nothing is sorted until it is read
+    if min([w for w in flat if w > cap], default=total + 1) > total:
+        count = len(admitted)
+    else:
+        count, cap = next(cut for cut in cuts if cut[1] >= cap)
+
     # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
     # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
     # OR-ing it in adds it
     c, top, b = _tie_break(n, m)
+    while True:
+        if n <= m:
+            costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in enumerate(row) if w <= cap}
+                     for i, row in enumerate(lines)]
+        else:                                      # assign columns to rows
+            costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in enumerate(col) if w <= cap}
+                     for j, col in enumerate(lines)]
+        matched = _assign(costs, max(n, m))
+        if matched is not None:
+            break
+        count, cap = next(cut for cut in cuts if cut[0] >= min(2 * count, len(flat)))
     if n <= m:
-        cost = [[(w << b) | (top - ((m - j) << c * (n - i))) for j, w in enumerate(row)]
-                for i, row in enumerate(rows)]
-        col_of_row = _assign(cost)
-        pairs = [(i, col_of_row[i]) for i in range(n)]
-    else:                                          # assign columns to rows
-        cost = [[(w << b) | (top - ((m - j) << c * (n - i))) for i, w in enumerate(col)]
-                for j, col in enumerate(zip(*rows))]
-        row_of_col = _assign(cost)
-        pairs = [(row_of_col[j], j) for j in range(m)]
-    return Matching(pairs)
+        return Matching((i, matched[i]) for i in range(n))
+    return Matching((matched[j], j) for j in range(m))
 
 
 def matching_weight(weights: Union[WeightMatrix, Sequence[Sequence[int]]], matching: Matching) -> int:

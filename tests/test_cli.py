@@ -91,6 +91,17 @@ def test_solve_leximin_threshold_solves_once(tmp_path, capsys, monkeypatch):
                         '  }\n}\n')
 
 
+def test_solve_leximin_without_resources(tmp_path, capsys):
+    path = write_doc(tmp_path, "i.json", max_atomic_instance([[], []]))
+    code, report, _ = run(capsys, ["solve-leximin", path])
+    assert code == 0 and report["verdict"] == "yes"
+    assert report["witness"]["allocation"] == {}
+    assert report["witness"]["utilities_sorted"] == [0, 0]
+    code, report, _ = run(capsys, ["solve-leximin", path, "--K", "0,0"])
+    assert code == 1 and report["verdict"] == "no"
+    assert report["witness"]["optimum_sorted"] == [0, 0]
+
+
 def test_solve_leximin_rejects_additive_documents(tmp_path, capsys):
     path = write_doc(tmp_path, "i.json", additive_instance([[1]]))
     code, _, err = run(capsys, ["solve-leximin", path])

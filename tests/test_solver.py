@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairdiv.solver
 from fairdiv import (
+    Allocation,
     Matching,
     Ordering,
     UtilityVector,
@@ -310,6 +313,64 @@ def test_matching_equals_the_emaxx_copy_on_wide_demands(matrix):
     assert min_weight_max_matching(weights).pairs == emaxx_matching(weights.weights)
 
 
+# 3,600 distinct weights: the cut holds at few boundaries, if any below the top
+_DISTINCT = random.Random(60).sample(range(10 ** 9), 3600)
+DISTINCT_60 = [_DISTINCT[k:k + 60] for k in range(0, 3600, 60)]
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.integers(1, 7).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 3) | st.integers(0, 10 ** 9), min_size=m, max_size=m),
+    min_size=n, max_size=n))))
+@example([[0, 1], [1, 2]])         # at the first cap the cheapest cut-off cell ties the admitted total
+@example(DISTINCT_60)
+@settings(max_examples=150, deadline=None)
+def test_matching_equals_the_emaxx_copy_on_arbitrary_weights(rows):
+    """Weights not made by generate_weights need not dominate, so the cut
+    may hold at some boundaries, or only where every cell is admitted."""
+    assert min_weight_max_matching(rows).pairs == emaxx_matching(rows)
+
+
+# demand matrices, n <= m, whose first admitted cells cannot hold a maximum
+# matching (all but the last), or that admit every cell at once (the last)
+GROWTH_CASES = {
+    "hot column": lambda rng, n, m: [[9] + [0] * (m - 1) for _ in range(n)],
+    "hot column over 0-8 noise": lambda rng, n, m: [[9] + [rng.randint(0, 8) for _ in range(m - 1)]
+                                                    for _ in range(n)],
+    "wide hot column": lambda rng, n, m: [[10 ** 6] + [rng.randrange(10 ** 6) for _ in range(m - 1)]
+                                          for _ in range(n)],
+    "all tied": lambda rng, n, m: [[5] * m for _ in range(n)],
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (16, 40)], ids=["small", "large"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "columns"])
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_solver_when_the_admitted_cells_must_grow(case, transposed, shape, monkeypatch):
+    n, m = shape
+    matrix = GROWTH_CASES[case](random.Random(f"{case}/{n}x{m}"), n, m)
+    if transposed:                   # a hot row, and the columns are the lines to match
+        matrix = [list(col) for col in zip(*matrix)]
+    inst = max_atomic_instance(matrix)
+    admitted = []
+    assign = fairdiv.solver._assign
+
+    def counted(costs, width):
+        admitted.append(sum(map(len, costs)))
+        return assign(costs, width)
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    owner = solve_leximin(inst).owner
+    assert tuple(sorted((i, j) for j, i in enumerate(owner) if i is not None)) == \
+        emaxx_matching(generate_weights(inst).weights)
+    if shape == (4, 5):
+        _, best = brute_force_leximin(inst)
+        assert leximin_compare(utility_vector(inst, Allocation(owner)), best) is Ordering.EQUAL
+    # the hot line alone is admitted first, and each retry at least doubles the cells
+    assert admitted[0] == (n * m if case == "all tied" else n)
+    assert (len(admitted) == 1) == (case == "all tied")
+    assert all(after >= min(2 * before, n * m) for before, after in zip(admitted, admitted[1:]))
+
+
 def test_tie_break_terms_lie_below_the_weight_shift():
     for n in range(1, 65):
         for m in range(1, 65):
@@ -344,6 +405,11 @@ def test_solve_leximin_zero_row_cannot_be_helped():
     inst = max_atomic_instance([[0, 0], [9, 0]])
     vec = utility_vector(inst, solve_leximin(inst))
     assert vec.sorted() == (Fraction(0), Fraction(9))
+
+
+def test_solve_leximin_without_resources():
+    assert min_weight_max_matching([[], []]) == Matching(())
+    assert solve_leximin(max_atomic_instance([[], []])) == Allocation(())
 
 
 def test_solve_leximin_rejects_additive():
