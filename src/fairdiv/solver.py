@@ -18,7 +18,9 @@ perturbation built from bit shifts, which makes the optimum unique.
 The same domination lets the matching skip most cells: once the cells at or
 below a weight cap hold a maximum matching, and every weight above the cap
 exceeds their total, no optimal matching uses a cell above it (a
-lexicographic bottleneck argument; see ``min_weight_max_matching``).
+lexicographic bottleneck argument; see ``min_weight_max_matching``).  That cut
+holds at every demand level boundary, and a level's weight depends only on the
+levels above it, so ``solve_leximin`` weighs the admitted top levels alone.
 """
 
 from __future__ import annotations
@@ -57,30 +59,35 @@ class WeightMatrix:
         object.__setattr__(self, "weights", tuple(rows))
 
 
-def generate_weights(instance: Instance) -> WeightMatrix:
-    """Map each demand to its rank weight.
+def _level_weights(cells: Iterable[int]) -> dict[int, int]:
+    """Each demand level's weight S + 1, S the total weight of the ``cells``
+    at larger levels.  Since (S + 1)(k + 1) = S + (S + 1)k + 1, it is kept as
+    a running product, largest level first: a level of k cells multiplies it
+    by k + 1.  So a level's weight depends only on the levels above it."""
+    weight_of: dict[int, int] = {}
+    w = 1
+    for level, k in sorted(Counter(cells).items(), reverse=True):
+        weight_of[level] = w
+        w *= k + 1
+    return weight_of
 
-    Distinct demand values are visited in decreasing order; a value gets
-    weight S + 1 where S is the total weight already handed out (counting
-    multiplicity).  Since (S + 1)(k + 1) = S + (S + 1)k + 1, the weight is kept
-    as a running product: a value held by k cells multiplies it by k + 1.
+
+def generate_weights(instance: Instance) -> WeightMatrix:
+    """Map each demand to its rank weight, ``_level_weights`` over all cells.
+
     This gives the strictly antitone, dominating weight family the matching
     step relies on:
 
       * larger demand  <=>  strictly smaller weight,
       * every weight exceeds the sum, over all matrix cells with strictly
-        larger demand, of their weights.
+        larger demand, of their weights; so the cut of
+        ``min_weight_max_matching`` holds at every demand level boundary.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
     # demand levels as the instance's scaled ints: scaling keeps their order and equality
     levels = instance.utilities.rows
-    counts = Counter(chain.from_iterable(levels))
-    weight_of: dict[int, int] = {}
-    w = 1
-    for level in sorted(counts, reverse=True):
-        weight_of[level] = w
-        w *= counts[level] + 1
+    weight_of = _level_weights(chain.from_iterable(levels))
     return WeightMatrix(tuple(tuple(map(weight_of.__getitem__, row)) for row in levels))
 
 
@@ -237,6 +244,33 @@ def _tie_break(n: int, m: int) -> tuple[int, int, int]:
     return c, top, (min(n, m) * top).bit_length()  # S > min(n, m) * top
 
 
+def _match_lines(n: int, m: int, admit, cap: int, cuts: Iterator[tuple[int, int]]) -> Matching:
+    """The tie-broken matching of ``min_weight_max_matching`` on an n x m
+    matrix, solved on admitted cells.  ``admit(cap)`` gives, for each line
+    that must be matched (rows if n <= m, else columns), the ``{position:
+    weight}`` of its cells admitted at a ``cap`` where the cut holds.  While
+    they hold no maximum matching, the cap moves to the first later ``(count,
+    cap)`` of ``cuts`` whose count at least doubles the admitted count."""
+    # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
+    # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
+    # OR-ing it in adds it
+    c, top, b = _tie_break(n, m)
+    while True:
+        if n <= m:
+            costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in line.items()}
+                     for i, line in enumerate(admit(cap))]
+        else:                                      # assign columns to rows
+            costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in line.items()}
+                     for j, line in enumerate(admit(cap))]
+        matched = _assign(costs, max(n, m))
+        if matched is not None:
+            break
+        cap = next(cut for cut in cuts if cut[0] >= min(2 * sum(map(len, costs)), n * m))[1]
+    if n <= m:
+        return Matching((i, matched[i]) for i in range(n))
+    return Matching((matched[j], j) for j in range(m))
+
+
 def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]]) -> Matching:
     """Minimum total weight among maximum-cardinality matchings.
 
@@ -254,13 +288,9 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     ``generate_weights`` satisfy the cut at every demand level; any other
     weights at least at their largest value, where every cell is admitted.
     The first cap is the largest of the cheapest weights of the lines that
-    must all be matched; each time the admitted cells hold no maximum
-    matching, the admitted count at least doubles.
+    must all be matched, moved up to the next cut if the cut fails there.
     """
-    if isinstance(weights, WeightMatrix):
-        rows = weights.weights
-    else:
-        rows = WeightMatrix(weights).weights      # reuse validation
+    rows = (weights if isinstance(weights, WeightMatrix) else WeightMatrix(weights)).weights  # reuse validation
     n = len(rows)
     m = len(rows[0]) if rows else 0
     if n == 0 or m == 0:
@@ -270,32 +300,12 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     lines = rows if n <= m else tuple(zip(*rows))
     cap = max(map(min, lines))
     flat = list(chain.from_iterable(lines))
-    admitted = [w for w in flat if w <= cap]
-    total = sum(admitted)
+    total = sum(w for w in flat if w <= cap)
     cuts = _cuts(flat)                  # nothing is sorted until it is read
-    if min([w for w in flat if w > cap], default=total + 1) > total:
-        count = len(admitted)
-    else:
-        count, cap = next(cut for cut in cuts if cut[1] >= cap)
-
-    # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
-    # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
-    # OR-ing it in adds it
-    c, top, b = _tie_break(n, m)
-    while True:
-        if n <= m:
-            costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in enumerate(row) if w <= cap}
-                     for i, row in enumerate(lines)]
-        else:                                      # assign columns to rows
-            costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in enumerate(col) if w <= cap}
-                     for j, col in enumerate(lines)]
-        matched = _assign(costs, max(n, m))
-        if matched is not None:
-            break
-        count, cap = next(cut for cut in cuts if cut[0] >= min(2 * count, len(flat)))
-    if n <= m:
-        return Matching((i, matched[i]) for i in range(n))
-    return Matching((matched[j], j) for j in range(m))
+    if min([w for w in flat if w > cap], default=total + 1) <= total:
+        cap = next(cut for cut in cuts if cut[1] >= cap)[1]
+    return _match_lines(n, m, lambda cap: [{x: w for x, w in enumerate(line) if w <= cap} for line in lines],
+                        cap, cuts)
 
 
 def matching_weight(weights: Union[WeightMatrix, Sequence[Sequence[int]]], matching: Matching) -> int:
@@ -310,11 +320,31 @@ def solve_leximin(instance: Instance) -> Allocation:
     unmatched agents (when m < n) receive nothing.  Resources whose column is
     unmatched (when m > n) stay unallocated — under max-atomic utilities
     extra items never help a matched agent.
+
+    The matching is ``min_weight_max_matching`` of ``generate_weights``,
+    solved on the cells of demand at least a floor D, the only ones weighed
+    (see the module docstring).  The first D, the smallest of the largest
+    demands of the lines to be matched, admits the cells of the first cap.
     """
-    weights = generate_weights(instance)
-    matching = min_weight_max_matching(weights)
-    owner: list[Optional[int]] = [None] * instance.num_resources
-    for i, j in matching:
+    if not isinstance(instance.utilities, MaxAtomic):
+        raise WrongUtilityKind("weight generation needs max-atomic demands")
+    n, m = instance.num_agents, instance.num_resources
+    owner: list[Optional[int]] = [None] * m
+    demands = instance.utilities.rows
+    lines = demands if n <= m else tuple(zip(*demands))   # none if n or m is 0
+
+    def admit(floor: int) -> list[dict[int, int]]:
+        kept = [{x: d for x, d in enumerate(line) if d >= floor} for line in lines]
+        weight_of = _level_weights(chain.from_iterable(map(dict.values, kept)))
+        return [{x: weight_of[d] for x, d in line.items()} for line in kept]
+
+    def levels() -> Iterator[tuple[int, int]]:     # (cells at or above, level), top down
+        count = 0
+        for level, k in sorted(Counter(chain.from_iterable(lines)).items(), reverse=True):
+            count += k
+            yield count, level
+
+    for i, j in _match_lines(n, m, admit, min(map(max, lines), default=0), levels()):
         owner[j] = i
     return Allocation(owner)
 

@@ -371,6 +371,66 @@ def test_solver_when_the_admitted_cells_must_grow(case, transposed, shape, monke
     assert all(after >= min(2 * before, n * m) for before, after in zip(admitted, admitted[1:]))
 
 
+def leximin_pairs(inst):
+    return tuple(sorted((i, j) for j, i in enumerate(solve_leximin(inst).owner) if i is not None))
+
+
+def growth_case(case, n, m, transposed=False):
+    matrix = GROWTH_CASES[case](random.Random(case), n, m)
+    return [list(col) for col in zip(*matrix)] if transposed else matrix
+
+
+@given(demand_shapes(3))
+@example(growth_case("all tied", 6, 20))
+@example(growth_case("all tied", 6, 20, transposed=True))
+@example(growth_case("hot column", 6, 20))
+@example(growth_case("hot column", 6, 20, transposed=True))
+@example(growth_case("hot column over 0-8 noise", 6, 20))
+@example(growth_case("hot column over 0-8 noise", 6, 20, transposed=True))
+@settings(max_examples=40, deadline=None)
+def test_solve_leximin_equals_the_emaxx_copy_on_narrow_demands(matrix):
+    """solve_leximin weighs only the admitted demand levels; its matching is
+    the one of the whole weight family."""
+    inst = max_atomic_instance(matrix)
+    assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
+
+
+@given(demand_shapes(10 ** 6))
+@example(growth_case("wide hot column", 6, 20))
+@example(growth_case("wide hot column", 6, 20, transposed=True))
+@settings(max_examples=40, deadline=None)
+def test_solve_leximin_equals_the_emaxx_copy_on_wide_demands(matrix):
+    inst = max_atomic_instance(matrix)
+    assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
+
+
+def test_solve_leximin_weighs_only_the_admitted_levels(monkeypatch):
+    """20 x 1000 distinct demands: the whole family would be a running
+    product over 20,000 levels, so no full family may be built, and every
+    cost stays within the bits of the cells admitted."""
+    def forbidden(*args):
+        raise AssertionError("the whole weight family was built")
+
+    monkeypatch.setattr(fairdiv.solver, "generate_weights", forbidden)
+    monkeypatch.setattr(fairdiv.solver, "min_weight_max_matching", forbidden)
+    n, m = 20, 1000
+    demands = random.Random(201000).sample(range(10 ** 9), n * m)
+    inst = max_atomic_instance([demands[i * m:(i + 1) * m] for i in range(n)])
+    _, _, b = _tie_break(n, m)
+    calls = []
+    assign = fairdiv.solver._assign
+
+    def counted(costs, width):
+        admitted = sum(map(len, costs))
+        calls.append(admitted)
+        assert all(cost.bit_length() <= b + admitted + 1 for row in costs for cost in row.values())
+        return assign(costs, width)
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    assert sum(who is not None for who in solve_leximin(inst).owner) == n
+    assert calls and calls[-1] < n * m
+
+
 def test_tie_break_terms_lie_below_the_weight_shift():
     for n in range(1, 65):
         for m in range(1, 65):
