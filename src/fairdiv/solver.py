@@ -15,12 +15,8 @@ column potentials (the Jonker-Volgenant form of the Hungarian method) rather
 than by a floating point library routine.  Ties are broken by an exact
 perturbation built from bit shifts, which makes the optimum unique.
 
-The same domination lets the matching skip most cells: once the cells at or
-below a weight cap hold a maximum matching, and every weight above the cap
-exceeds their total, no optimal matching uses a cell above it (a
-lexicographic bottleneck argument; see ``min_weight_max_matching``).  That cut
-holds at every demand level boundary, and a level's weight depends only on the
-levels above it, so ``solve_leximin`` weighs the admitted top levels alone.
+The same domination lets ``solve_leximin`` weigh and match only the cells of
+the top demand levels, once they hold a maximum matching (see its docstring).
 """
 
 from __future__ import annotations
@@ -80,8 +76,8 @@ def generate_weights(instance: Instance) -> WeightMatrix:
 
       * larger demand  <=>  strictly smaller weight,
       * every weight exceeds the sum, over all matrix cells with strictly
-        larger demand, of their weights; so the cut of
-        ``min_weight_max_matching`` holds at every demand level boundary.
+        larger demand, of their weights; so ``solve_leximin`` may solve on
+        the top demand levels alone.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
@@ -213,20 +209,6 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
     return col_of_row
 
 
-def _cuts(weights: list[int]) -> Iterator[tuple[int, int]]:
-    """Yield ``(count, cap)`` for every cap at which the weight cut holds, in
-    increasing order: the ``count`` cells of weight at most ``cap`` weigh
-    less, in total, than any cell above it.  One sorted running-sum pass,
-    taken only as far as the caller reads; the last cap admits every cell."""
-    flat = sorted(weights)
-    total = 0
-    for count, (w, above) in enumerate(zip(flat, flat[1:]), 1):
-        total += w
-        if above > total:               # weights are >= 0, so above > w too
-            yield count, w
-    yield len(flat), flat[-1]
-
-
 def _tie_break(n: int, m: int) -> tuple[int, int, int]:
     """``(c, top, b)`` of the exact tie-break for an n x m weight matrix.
 
@@ -244,28 +226,24 @@ def _tie_break(n: int, m: int) -> tuple[int, int, int]:
     return c, top, (min(n, m) * top).bit_length()  # S > min(n, m) * top
 
 
-def _match_lines(n: int, m: int, admit, cap: int, cuts: Iterator[tuple[int, int]]) -> Matching:
+def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[Matching]:
     """The tie-broken matching of ``min_weight_max_matching`` on an n x m
-    matrix, solved on admitted cells.  ``admit(cap)`` gives, for each line
-    that must be matched (rows if n <= m, else columns), the ``{position:
-    weight}`` of its cells admitted at a ``cap`` where the cut holds.  While
-    they hold no maximum matching, the cap moves to the first later ``(count,
-    cap)`` of ``cuts`` whose count at least doubles the admitted count."""
+    matrix, solved on the admitted ``{position: weight}`` cells of each line
+    that must be matched (rows if n <= m, else columns); None when those
+    cells hold no maximum matching."""
     # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
     # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
     # OR-ing it in adds it
     c, top, b = _tie_break(n, m)
-    while True:
-        if n <= m:
-            costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in line.items()}
-                     for i, line in enumerate(admit(cap))]
-        else:                                      # assign columns to rows
-            costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in line.items()}
-                     for j, line in enumerate(admit(cap))]
-        matched = _assign(costs, max(n, m))
-        if matched is not None:
-            break
-        cap = next(cut for cut in cuts if cut[0] >= min(2 * sum(map(len, costs)), n * m))[1]
+    if n <= m:
+        costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in line.items()}
+                 for i, line in enumerate(lines)]
+    else:                                          # assign columns to rows
+        costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in line.items()}
+                 for j, line in enumerate(lines)]
+    matched = _assign(costs, max(n, m))
+    if matched is None:
+        return None
     if n <= m:
         return Matching((i, matched[i]) for i in range(n))
     return Matching((matched[j], j) for j in range(m))
@@ -277,35 +255,14 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     Ties on total weight are broken deterministically: among all optimal
     matchings the one whose sorted pair list is lexicographically smallest is
     returned (prefer low row indices matched, then low column indices).
-
-    Only the *admitted* cells, those of weight at most a cap X, are solved
-    on, where X is chosen so that the cut holds: every weight above X
-    exceeds the total weight W of the admitted cells.  With the tie-break
-    terms (below S in total) an admitted maximum matching then costs less
-    than (W + 1) * S, and any matching using a cell above X costs at least
-    that much, so the optimum over the admitted cells, when they hold a
-    maximum matching, is the optimum over all cells.  The weights of
-    ``generate_weights`` satisfy the cut at every demand level; any other
-    weights at least at their largest value, where every cell is admitted.
-    The first cap is the largest of the cheapest weights of the lines that
-    must all be matched, moved up to the next cut if the cut fails there.
     """
     rows = (weights if isinstance(weights, WeightMatrix) else WeightMatrix(weights)).weights  # reuse validation
     n = len(rows)
     m = len(rows[0]) if rows else 0
-    if n == 0 or m == 0:
-        return Matching(())
-
-    # every row is matched when n <= m, every column otherwise
+    # every row is matched when n <= m, every column otherwise; on every cell
+    # a maximum matching always exists
     lines = rows if n <= m else tuple(zip(*rows))
-    cap = max(map(min, lines))
-    flat = list(chain.from_iterable(lines))
-    total = sum(w for w in flat if w <= cap)
-    cuts = _cuts(flat)                  # nothing is sorted until it is read
-    if min([w for w in flat if w > cap], default=total + 1) <= total:
-        cap = next(cut for cut in cuts if cut[1] >= cap)[1]
-    return _match_lines(n, m, lambda cap: [{x: w for x, w in enumerate(line) if w <= cap} for line in lines],
-                        cap, cuts)
+    return _match_lines(n, m, [dict(enumerate(line)) for line in lines])
 
 
 def matching_weight(weights: Union[WeightMatrix, Sequence[Sequence[int]]], matching: Matching) -> int:
@@ -322,9 +279,16 @@ def solve_leximin(instance: Instance) -> Allocation:
     extra items never help a matched agent.
 
     The matching is ``min_weight_max_matching`` of ``generate_weights``,
-    solved on the cells of demand at least a floor D, the only ones weighed
-    (see the module docstring).  The first D, the smallest of the largest
-    demands of the lines to be matched, admits the cells of the first cap.
+    solved on the admitted cells, those of demand at least a floor D.  A
+    level's weight depends only on the levels above it, so weighing the
+    admitted levels alone gives their cells their weights in the whole
+    family, and each cell below D weighs more than the admitted total W.
+    With the tie-break terms (below S in total) an admitted maximum matching
+    costs less than (W + 1) * S, and a matching using a cell below D at least
+    that, so when the admitted cells hold a maximum matching their optimum is
+    the optimum.  D starts at the smallest of the largest demands of the lines
+    to be matched; while the admitted cells hold no maximum matching, it falls
+    to the first lower level admitting at least twice as many cells, or all.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
@@ -344,7 +308,12 @@ def solve_leximin(instance: Instance) -> Allocation:
             count += k
             yield count, level
 
-    for i, j in _match_lines(n, m, admit, min(map(max, lines), default=0), levels()):
+    floor = min(map(max, lines), default=0)
+    lower = levels()
+    while (matching := _match_lines(n, m, admitted := admit(floor))) is None:
+        grown = min(2 * sum(map(len, admitted)), n * m)
+        floor = next(level for count, level in lower if count >= grown)
+    for i, j in matching:
         owner[j] = i
     return Allocation(owner)
 

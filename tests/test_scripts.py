@@ -8,7 +8,6 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 CNF = "c two clauses\np cnf 3 2\n1 2 -3 0\n-1 -2 -3 0\n"
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
-AE_CNF = "p cnf 3 2\na 1 0\ne 2 3 0\n1 2 0\n-1 -2 3 0\n"
 
 
 def load(name):
@@ -27,12 +26,3 @@ def test_inspect_reduction(tmp_path, capsys, text):
     assert load("inspect_reduction").main(argv) == 0
     assert "dominance search:" in capsys.readouterr().out
 
-
-@pytest.mark.parametrize("text", [None, AE_CNF], ids=["built-in", "file"])
-def test_eef_family(tmp_path, capsys, text):
-    argv = []
-    if text is not None:
-        (tmp_path / "f.aecnf").write_text(text)
-        argv = [str(tmp_path / "f.aecnf")]
-    assert load("eef_family").main(argv) == 0
-    assert "formula is" in capsys.readouterr().out
