@@ -4,9 +4,8 @@ Decision subcommands print a JSON report to stdout and exit with a code that
 is a pure function of the verdict: 0 = yes, 1 = no, 2 = unknown.  Exit code 3
 means the input (or the way the command was invoked) was itself bad.  Exit
 code 4 means the program itself failed (an internal error, reported on stderr
-with its traceback), so a crash never passes for a verdict.  The
-default search budget comes from --budget, falling back to the
-FAIRDIV_BUDGET environment variable, falling back to 10^7 nodes.
+with its traceback), so a crash never passes for a verdict.  A search's
+node budget is --budget, or 10^7 nodes without it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import operator
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -51,15 +49,7 @@ def _read(path: str) -> str:
 
 
 def _budget(args) -> SearchBudget:
-    if getattr(args, "budget", None) is not None:
-        return SearchBudget(args.budget)
-    env = os.environ.get("FAIRDIV_BUDGET")
-    if env:
-        try:
-            return SearchBudget(int(env))
-        except ValueError:
-            raise ContractError(f"FAIRDIV_BUDGET is not an integer: {env!r}") from None
-    return DEFAULT_BUDGET
+    return DEFAULT_BUDGET if args.budget is None else SearchBudget(args.budget)
 
 
 def _require_allocation(doc: InstanceDocument):

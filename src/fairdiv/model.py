@@ -274,13 +274,17 @@ class UtilityVector:
         return iter(self.values)
 
 
+def bundle_totals(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> list[int]:
+    """Each agent's own bundle priced by its row under the model's
+    ``total``: agent i's utility, times the scale."""
+    total = utilities.total
+    return [total(map(row.__getitem__, bundle)) for row, bundle in zip(utilities.rows, bundles)]
+
+
 def scaled_utilities(instance: Instance, allocation: Allocation) -> list[int]:
     """Each agent's utility under ``allocation``, times the instance's scale."""
     check_allocation(instance, allocation)
-    utilities = instance.utilities
-    total = utilities.total
-    bundles = bundles_of(allocation.owner, instance.num_agents)
-    return [total(map(row.__getitem__, bundle)) for row, bundle in zip(utilities.rows, bundles)]
+    return bundle_totals(instance.utilities, bundles_of(allocation.owner, instance.num_agents))
 
 
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:

@@ -1,10 +1,17 @@
-"""Reference search procedures: exhaustive leximin, Pareto-improvement
-search, envy-free-and-efficient search, and small SAT utilities.
+"""Exact searches and the exhaustive references they are tested against.
 
-These are the ground truth the fast paths are tested against.  Verdicts are
-three-valued: Yes (with a checkable witness where one exists), No (meaning
-the search space was exhausted), or Unknown (the node budget ran out first).
-Budgets count search nodes, not wall time, so runs are reproducible.
+The command line runs the searches: the pruned Pareto-improvement search
+``_dominator_search`` (behind ``find_dominating_allocation`` and
+``is_pareto_optimal``), the envy-free-and-efficient search
+``brute_force_eef``, and the DPLL decision ``sat_on_partial``.  The
+references ``brute_force_leximin``, ``dominating_allocation_by_enumeration``,
+``sat_by_enumeration`` and ``ae3cnf_eval`` enumerate every candidate through
+one capped product, and refuse a space above their fixed cap.
+
+Verdicts are three-valued: Yes (with a checkable witness where one exists),
+No (meaning the search space was exhausted), or Unknown (the node budget ran
+out first).  Budgets count search nodes, not wall time, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,14 +22,24 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
-                       literal_holds)
+                       formula_satisfied)
 from .model import (Additive, Allocation, ContractError, Instance,
-                    UtilityVector, WrongUtilityKind, bundles_of, check_allocation,
-                    dominates, envy_in_rows, scaled_utilities, utility_vector)
+                    UtilityVector, WrongUtilityKind, bundle_totals, bundles_of,
+                    check_allocation, dominates, envy_in_rows, scaled_utilities,
+                    utility_vector)
 
 
 class SearchSpaceTooLarge(ContractError):
     """The requested exhaustive enumeration is bigger than its hard cap."""
+
+
+def _capped_product(options: Sequence, k: int, cap: int) -> Iterator[tuple]:
+    """Every k-tuple over ``options``, in lexicographic order; refuses more
+    than ``cap`` of them before yielding any."""
+    states = len(options) ** k
+    if states > cap:
+        raise SearchSpaceTooLarge(f"{len(options)}^{k} = {states} candidates exceed the cap {cap}")
+    return itertools.product(options, repeat=k)
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,8 @@ class _Counter:
         self.used = 0
         self.limit = budget.max_nodes
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise _OutOfBudget
 
@@ -105,45 +122,18 @@ class _Counter:
 # ---------------------------------------------------------------------------
 # exhaustive leximin
 
-def brute_force_leximin(instance: Instance, max_states: int = 2_000_000) -> tuple[Allocation, UtilityVector]:
+def brute_force_leximin(instance: Instance) -> tuple[Allocation, UtilityVector]:
     """Leximin optimum by enumerating all (n+1)^m allocations.
 
     Deterministic tie-break: the first optimum in lexicographic order of the
-    owner vector (unallocated before agent 0 before agent 1, ...).  Refuses
-    instances whose state space exceeds ``max_states``.
+    owner vector (unallocated before agent 0 before agent 1, ...), the one
+    ``max`` keeps.  Refuses more than 2*10^6 allocations.
     """
     n, m = instance.num_agents, instance.num_resources
-    states = (n + 1) ** m
-    if states > max_states:
-        raise SearchSpaceTooLarge(
-            f"(n+1)^m = {states} exceeds the enumeration cap {max_states}")
-    additive = isinstance(instance.utilities, Additive)
-    rows = instance.utilities.rows       # a positive scale keeps the leximin order and its ties
-    utils = [0] * n
-    owner: list[Optional[int]] = [None] * m
-    best_key: Optional[tuple] = None
-    best_owner: Optional[tuple] = None
-
-    def visit(j: int) -> None:
-        nonlocal best_key, best_owner
-        if j == m:
-            key = tuple(sorted(utils))
-            if best_key is None or key > best_key:
-                best_key = key
-                best_owner = tuple(owner)
-            return
-        visit(j + 1)                      # leave resource j unallocated
-        for i in range(n):
-            v = rows[i][j]
-            old = utils[i]
-            utils[i] = old + v if additive else (v if v > old else old)
-            owner[j] = i
-            visit(j + 1)
-            utils[i] = old
-        owner[j] = None
-
-    visit(0)
-    allocation = Allocation(best_owner)
+    utilities = instance.utilities       # a positive scale keeps the leximin order and its ties
+    owner = max(_capped_product((None, *range(n)), m, 2_000_000),
+                key=lambda owners: sorted(bundle_totals(utilities, bundles_of(owners, n))))
+    allocation = Allocation(owner)
     return allocation, utility_vector(instance, allocation)
 
 
@@ -309,17 +299,13 @@ def find_dominating_allocation(instance: Instance, baseline: Allocation,
     return TriVerdict.yes(witness, counter.used)
 
 
-def dominating_allocation_by_enumeration(instance: Instance, baseline: Allocation,
-                                         max_states: int = 500_000) -> Optional[Allocation]:
-    """Unpruned reference: scan every (n+1)^m allocation for a dominator."""
+def dominating_allocation_by_enumeration(instance: Instance, baseline: Allocation) -> Optional[Allocation]:
+    """Unpruned reference: scan every (n+1)^m allocation for a dominator.
+    Refuses more than 5*10^5 allocations."""
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the improvement search works on additive instances")
     n, m = instance.num_agents, instance.num_resources
-    states = (n + 1) ** m
-    if states > max_states:
-        raise SearchSpaceTooLarge(
-            f"(n+1)^m = {states} exceeds the enumeration cap {max_states}")
-    for owners in itertools.product((None, *range(n)), repeat=m):
+    for owners in _capped_product((None, *range(n)), m, 500_000):
         challenger = Allocation(owners)
         if dominates(instance, challenger, baseline):
             return challenger
@@ -361,7 +347,6 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
     utilities = instance.utilities
-    rows, total = utilities.rows, utilities.total
     n, m = instance.num_agents, instance.num_resources
     explicit = candidates is not None
     if not explicit:                     # owner vectors, with an Allocation built only for the witness
@@ -375,8 +360,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
             bundles = bundles_of(owners, n)
             if envy_in_rows(utilities, bundles) is not None:
                 continue
-            base = [total(map(row.__getitem__, bundle)) for row, bundle in zip(rows, bundles)]
-            if _dominator_search(rows, base, counter) is None:
+            if _dominator_search(utilities.rows, bundle_totals(utilities, bundles), counter) is None:
                 return TriVerdict.yes(candidate if explicit else Allocation(owners), counter.used)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)
@@ -494,38 +478,34 @@ def sat_on_partial(formula: CnfFormula, assignment: PartialAssignment = PartialA
         ok = assign(order[k], True)
 
 
-def sat_by_enumeration(formula: CnfFormula, assignment: PartialAssignment = PartialAssignment(),
-                       max_states: int = 1 << 22) -> TriVerdict:
+def sat_by_enumeration(formula: CnfFormula,
+                       assignment: PartialAssignment = PartialAssignment()) -> TriVerdict:
     """Unpruned reference for ``sat_on_partial``: enumerate all 2^k
     completions of the k unassigned variables (all-false first, counting
-    up) and return the first model.  Refuses more than ``max_states``
-    completions."""
+    up) and return the first model.  Refuses more than 2^22 completions."""
     fixed = assignment.as_dict()
     free = [v for v in range(1, formula.num_vars + 1) if v not in fixed]
     residual = _residual_clauses(formula, fixed)
-    if 2 ** len(free) > max_states:
-        raise SearchSpaceTooLarge(f"2^{len(free)} completions exceed the cap {max_states}")
+    completions = _capped_product((False, True), len(free), 1 << 22)
     if residual is None:
         return TriVerdict.no(nodes=0)
     nodes = 0
-    for bits in itertools.product((False, True), repeat=len(free)):
+    for bits in completions:
         nodes += 1
         values = dict(zip(free, bits))
-        if all(any(literal_holds(l, values[abs(l)]) for l in clause) for clause in residual):
+        if formula_satisfied(residual, values):
             return TriVerdict.yes(_sat_witness(formula, fixed, values), nodes)
     return TriVerdict.no(nodes)
 
 
-def ae3cnf_eval(formula: AEFormula, max_states: int = 1 << 22) -> bool:
+def ae3cnf_eval(formula: AEFormula) -> bool:
     """Truth of a forall/exists clausal formula, by definition unfolding:
     every assignment of the forall block must leave the clauses satisfiable
-    over the exists block.  ``max_states`` caps the forall assignments; each
+    over the exists block.  Refuses more than 2^22 forall assignments; each
     one is decided by ``sat_on_partial``."""
-    if 2 ** len(formula.forall_vars) > max_states:
-        raise SearchSpaceTooLarge(
-            f"2^{len(formula.forall_vars)} forall assignments exceed the cap {max_states}")
+    assignments = _capped_product((False, True), len(formula.forall_vars), 1 << 22)
     cnf = formula.cnf()
-    for bits in itertools.product((False, True), repeat=len(formula.forall_vars)):
+    for bits in assignments:
         s = PartialAssignment(dict(zip(formula.forall_vars, bits)))
         if sat_on_partial(cnf, s).is_no:
             return False

@@ -23,11 +23,6 @@ TRUE_AE_DIMACS = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
 FALSE_AE_DIMACS = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n1 -2 0\n"
 
 
-@pytest.fixture(autouse=True)
-def no_env_budget(monkeypatch):
-    monkeypatch.delenv("FAIRDIV_BUDGET", raising=False)
-
-
 def write_doc(tmp_path, name, instance, allocation=None):
     path = tmp_path / name
     path.write_text(serialize_instance(InstanceDocument(instance, allocation)))
@@ -185,18 +180,13 @@ def test_find_eef(tmp_path, capsys):
     assert code == 2
 
 
-def test_budget_env_var_is_the_fallback(tmp_path, capsys, monkeypatch):
+def test_budget_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # a report does not record its budget, so only --budget may set it
     inst = additive_instance([[1, 1], [1, 1]])
     path = write_doc(tmp_path, "i.json", inst, Allocation([None, None]))
     monkeypatch.setenv("FAIRDIV_BUDGET", "1")
-    code, _, _ = run(capsys, ["check-pareto", path])
-    assert code == 2
-    # an explicit flag wins over the environment
-    code, _, _ = run(capsys, ["check-pareto", path, "--budget", "100000"])
-    assert code == 1
-    monkeypatch.setenv("FAIRDIV_BUDGET", "not-a-number")
-    code, _, err = run(capsys, ["check-pareto", path])
-    assert code == 3 and "FAIRDIV_BUDGET" in err
+    code, report, _ = run(capsys, ["check-pareto", path])
+    assert code == 1 and report["verdict"] == "no"
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fairdiv import (
     ae3cnf_eval,
     brute_force_eef,
     brute_force_leximin,
+    bundle_utility,
     dominates,
     dominating_allocation_by_enumeration,
     find_dominating_allocation,
@@ -36,7 +37,8 @@ from fairdiv import (
 )
 from fairdiv.formulas import formula_satisfied
 from fairdiv.model import ContractError
-from fairdiv.oracles import _Counter, _OutOfBudget, _dominator_search
+import fairdiv.oracles
+from fairdiv.oracles import _capped_product, _Counter, _OutOfBudget, _dominator_search
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -91,9 +93,47 @@ def test_brute_force_leximin_all_zero():
 
 
 def test_brute_force_leximin_size_guard():
-    inst = max_atomic_instance([[1] * 8] * 3)
+    # 2^21 allocations, just above the cap of 2*10^6
+    inst = max_atomic_instance([[1] * 21])
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_leximin(inst, max_states=1000)
+        brute_force_leximin(inst)
+
+
+def test_capped_product_refuses_only_above_the_cap():
+    assert len(list(_capped_product((None, 0), 3, 8))) == 8
+    with pytest.raises(SearchSpaceTooLarge):
+        _capped_product((None, 0), 3, 7)
+
+
+def first_leximin_owner(inst):
+    """The definition: the first owner tuple, unallocated before agent 0
+    before agent 1, whose sorted ``bundle_utility`` vector is largest."""
+    n, best, best_key = inst.num_agents, None, None
+    for owner in itertools.product((None, *range(n)), repeat=inst.num_resources):
+        key = sorted(bundle_utility(inst, i, Allocation(owner).bundle(i)) for i in range(n))
+        if best_key is None or key > best_key:
+            best, best_key = owner, key
+    return best
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(mixed_cells, min_size=3, max_size=3), min_size=n, max_size=n)))
+@settings(max_examples=60)
+def test_brute_force_leximin_on_mixed_sign_additive(matrix):
+    inst = parse_instance(json.dumps({
+        "kind": "additive", "agents": [f"a{i}" for i in range(len(matrix))],
+        "resources": ["o0", "o1", "o2"], "matrix": matrix})).instance
+    alloc, vec = brute_force_leximin(inst)
+    assert alloc.owner == first_leximin_owner(inst)
+    assert vec.values == utility_vector(inst, alloc).values
+
+
+def test_brute_force_leximin_tie_break_owner():
+    # (0, 1) and (1, 0) tie at the sorted vector (1, 1); the first in owner order wins
+    for inst in (max_atomic_instance([[1, 1], [1, 1]]), additive_instance([[1, 1], [1, 1]])):
+        alloc, vec = brute_force_leximin(inst)
+        assert alloc.owner == (0, 1) == first_leximin_owner(inst)
+        assert vec.values == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +183,11 @@ def test_node_counts_are_deterministic():
 
 
 def test_enumeration_reference_guard():
-    inst = additive_instance([[1] * 12] * 3)
+    # 2^19 allocations, just above the cap of 5*10^5; 2^18 are scanned
     with pytest.raises(SearchSpaceTooLarge):
-        dominating_allocation_by_enumeration(inst, Allocation.empty(12), max_states=100)
+        dominating_allocation_by_enumeration(additive_instance([[1] * 19]), Allocation.empty(19))
+    found = dominating_allocation_by_enumeration(additive_instance([[1] * 18]), Allocation.empty(18))
+    assert found.owner == (None,) * 17 + (0,)
 
 
 @given(additive_with_baseline())
@@ -430,9 +472,11 @@ def test_sat_on_partial_rejects_unknown_variables():
 
 
 def test_sat_on_partial_size_guard():
-    # only the enumeration reference keeps a cap; sat_on_partial has none
+    # only the enumeration reference keeps a cap, 2^22; sat_on_partial has none
     with pytest.raises(SearchSpaceTooLarge):
-        sat_by_enumeration(CnfFormula(3, [[1]]), max_states=4)
+        sat_by_enumeration(CnfFormula(23, [[1]]))
+    verdict = sat_by_enumeration(CnfFormula(22, []))
+    assert verdict.is_yes and verdict.nodes == 1
 
 
 literals8 = st.sampled_from([v for v in range(-8, 9) if v != 0])
@@ -502,6 +546,23 @@ def test_ae3cnf_eval_false_instance():
 
 def test_ae3cnf_eval_vacuous():
     assert ae3cnf_eval(AEFormula(2, [1], [2], []))
+
+
+def test_ae3cnf_eval_refuses_before_any_sat_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sat_on_partial(*args)
+
+    monkeypatch.setattr(fairdiv.oracles, "sat_on_partial", counted)
+    # 2^23 forall assignments, just above the cap of 2^22
+    with pytest.raises(SearchSpaceTooLarge):
+        ae3cnf_eval(AEFormula(24, range(1, 24), [24], [[1, 24], [1, -24]]))
+    assert calls == []
+    # 2^22 are unfolded: the all-false assignment leaves the clauses unsatisfiable
+    assert not ae3cnf_eval(AEFormula(23, range(1, 23), [23], [[1, 23], [1, -23]]))
+    assert len(calls) == 1
 
 
 @given(clauses4, st.sets(st.integers(1, 4)))
