@@ -45,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()             # one decode of the whole file: e.start is a file offset
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _budget(args) -> SearchBudget:
@@ -270,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-eef", help="turn a forall/exists DIMACS formula into an "
                        "instance whose envy-free efficient allocations encode falsity "
-                       "(tautological clauses are added for missing polarities)")
+                       "(tautological clauses are added for missing polarities; a "
+                       "formula with no clauses is rejected)")
     p.add_argument("formula", help="DIMACS file with 'a ... 0' and 'e ... 0' lines")
     p.add_argument("--out", help="write the instance document here instead of stdout")
     p.set_defaults(func=_cmd_reduce_eef)

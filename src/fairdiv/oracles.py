@@ -163,9 +163,9 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     alone; with two or more, nobody, and the branch is dead.  A column is
     critical if it is dead or has a single feasible owner (one violator, or
     one positive agent).  Each node takes the lowest critical column if
-    there is one, else the lowest of the columns with fewest positive
-    agents — the column a scan of every unplaced column in index order,
-    stopping at the first with at most one feasible owner, would choose.
+    there is one, else the first unplaced column of ``order`` — the column a
+    scan of every unplaced column in index order, stopping at the first with
+    at most one feasible owner, would choose.
 
     State, kept current as placements are made and taken back, so that a
     node costs work in proportion to the gaps it moves:
@@ -173,9 +173,11 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
       how many of them it can still afford (coefficient <= ``gap[i]``);
     - ``viol[j]``, the violator count of each column;
     - ``positive``, the number of agents whose gap is above 0;
-    - ``crit``, the unplaced critical columns;
-    - ``bucket``, the unplaced columns grouped by their number of positive
-      agents.
+    - ``crit``, the unplaced critical columns.
+
+    ``order``, the columns with a positive cell sorted by their number of
+    positive agents (ties in index order), is fixed before the search; a
+    column is unplaced exactly when its ``owner`` is None.
     """
     from bisect import bisect_right        # here, so loading the module imports nothing more
     pos: list[list[tuple[int, int]]] = [
@@ -193,12 +195,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
             viol[k] += 1
     positive = sum(g > 0 for g in gap)
     crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
-    bucket: dict[int, set[int]] = {}
-    for j in range(m):
-        if size[j]:
-            bucket.setdefault(size[j], set()).add(j)
-    sizes = sorted(bucket)
-    placeable = m - size.count(0)
+    order = sorted((j for j in range(m) if size[j]), key=size.__getitem__)
     owner: list[Optional[int]] = [None] * m
 
     def drain(column: list[tuple[int, int]], taker: int) -> None:
@@ -245,7 +242,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     while True:
         counter.spend()                          # a node: the placements on the stack
         if positive:                             # else nobody can still beat baseline
-            if len(stack) == placeable:          # the stack holds every placed column
+            if len(stack) == len(order):         # the stack holds every placed column
                 return list(owner)
             if crit:                             # dead, or its one violator or positive agent
                 j = min(crit)
@@ -253,11 +250,10 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 cands = [] if viol[j] > 1 else [
                     next((i for i, c in column if gap[i] < c), column[0][0])]
             else:
-                j = next(min(bucket[s]) for s in sizes if bucket[s])
+                j = next(j for j in order if owner[j] is None)
                 cands = [i for i, _ in pos[j]]
             if cands:
                 crit.discard(j)
-                bucket[size[j]].discard(j)
                 stack.append((j, iter(cands)))
         # place the next candidate of the innermost column that has one left
         while stack:
@@ -269,7 +265,6 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                 drain(pos[j], owner[j])
                 break
             stack.pop()
-            bucket[size[j]].add(j)
             if viol[j] or size[j] == 1:
                 crit.add(j)
         else:

@@ -332,7 +332,8 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
     """Build the instance whose envy-free Pareto-optimal allocations encode
     falsity of the two-level formula.
 
-    Requires every variable to occur in both polarities (see
+    Requires at least one clause, since the envy lemma of the construction
+    needs one, and every variable to occur in both polarities (see
     ``augment_both_polarities``).  ``big_m`` defaults to one more than the
     sum of the absolute values of all ordinary coefficients, which makes the
     large coefficients impossible to compensate; any strictly larger value
@@ -343,6 +344,8 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
     literal occurrences and Lu only universal ones.
     """
     _check_clause_sizes(formula.clauses)
+    if not formula.clauses:
+        raise ContractError("the formula has no clauses; the construction needs at least one")
     unbalanced = _unbalanced_variables(formula)
     if unbalanced:
         raise ContractError(f"variable {unbalanced[0]} does not occur in both polarities; "

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv import (
     Allocation,
@@ -378,6 +383,29 @@ def test_verify_reduction_unknown_on_tiny_budget(tmp_path, capsys):
     assert report["verdict"] == "unknown"
 
 
+def test_verify_reduction_eef_unknown_on_tiny_budget(tmp_path, capsys):
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(FALSE_AE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", "1"])
+    assert (code, report["verdict"]) == (2, "unknown")
+    detail = report["witness"]
+    assert detail["family_has_eef"] is None
+    assert detail["formula_true"] is False
+    [entry] = [e for e in detail["assignments"] if e["s"] == {"x1": False}]
+    assert entry["satisfiable_over_exists"] is False
+    assert entry["template_efficient"] is None
+
+
+def test_empty_forall_exists_formula_exits_3(tmp_path, capsys):
+    # the construction's envy lemma needs a clause; augmentation adds one per variable
+    formula = tmp_path / "f.qcnf"
+    formula.write_text("p cnf 0 0\na 0\ne 0\n")
+    for argv in (["reduce-eef", str(formula)], ["verify-reduction", "eef", str(formula)]):
+        code, report, err = run(capsys, argv)
+        assert (code, report) == (3, None)
+        assert "no clauses" in err
+
+
 def test_verify_reduction_is_deterministic(tmp_path, capsys):
     formula = tmp_path / "f.qcnf"
     formula.write_text(TRUE_AE_DIMACS)
@@ -461,3 +489,103 @@ def test_missing_and_malformed_files_exit_3(tmp_path, capsys):
     not_dimacs.write_text("hello world\n")
     code, _, err = run(capsys, ["reduce-po", str(not_dimacs)])
     assert code == 3
+
+
+SUBCOMMANDS = (
+    ["solve-leximin"],
+    ["solve-leximin", "--K", "1,1"],
+    ["check-pareto", "--budget", "2000"],
+    ["check-envy"],
+    ["find-eef", "--budget", "2000"],
+    ["reduce-po"],
+    ["reduce-eef"],
+    ["verify-reduction", "po", "--budget", "2000"],
+    ["verify-reduction", "eef", "--budget", "2000"],
+)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=" ".join)
+def test_files_that_are_not_utf8_exit_3(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"p cnf 1 1\n1 0\nc caf\xc3\xa9 \xff\n")
+    code, report, err = run(capsys, [*argv, str(path)])
+    assert (code, report) == (3, None)
+    assert f"{path}: not UTF-8 text (byte 22)" in err and "Traceback" not in err
+
+
+def _quiet_run(argv):
+    """``main(argv)``'s exit code and stderr, with its output swallowed; for
+    the Hypothesis tests, which cannot share a function-scoped ``capsys``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+VALID_INPUTS = (
+    serialize_instance(InstanceDocument(
+        additive_instance([[1, Fraction(1, 2), 0], [2, 1, 3]]), Allocation([0, 1, None]))).encode(),
+    serialize_instance(InstanceDocument(max_atomic_instance([[5, 3], [4, 1]]))).encode(),
+    EXAMPLE_DIMACS.encode(),
+    TRUE_AE_DIMACS.encode(),
+)
+
+# at most two edits: three digits inserted into a header's variable count
+# would ask reduce-po for a gadget of some 10^8 cells
+byte_edits = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                                st.integers(0, 400), st.integers(0, 255)), min_size=1, max_size=2)
+
+
+def _edited(data, edits):
+    buf = bytearray(data)
+    for op, at, byte in edits:
+        if op == "insert":
+            buf.insert(at % (len(buf) + 1), byte)
+        elif buf and op == "replace":
+            buf[at % len(buf)] = byte
+        elif buf:
+            del buf[at % len(buf)]
+    return bytes(buf)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(VALID_INPUTS), byte_edits)
+def test_byte_edits_never_crash_a_subcommand(tmp_path_factory, data, edits):
+    path = tmp_path_factory.mktemp("edit") / "input"
+    path.write_bytes(_edited(data, edits))
+    for argv in SUBCOMMANDS:
+        code, err = _quiet_run([*argv, str(path)])
+        assert 0 <= code <= 3, err
+        assert "Traceback" not in err
+
+
+@st.composite
+def small_formulas(draw):
+    """A formula over 0-3 variables with 0-3 clauses of distinct variables,
+    and a partition of its variables into a forall and an exists block."""
+    num_vars = draw(st.integers(0, 3))
+    literals = st.lists(st.integers(1, num_vars), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    clauses = draw(st.lists(literals, max_size=3)) if num_vars else []
+    forall = [v for v in range(1, num_vars + 1) if draw(st.booleans())]
+    return num_vars, forall, clauses
+
+
+@settings(max_examples=50)
+@given(small_formulas(), st.booleans())
+def test_verify_reduction_never_reports_an_unsound_reduction(tmp_path_factory, formula, all_flags):
+    num_vars, forall, clauses = formula
+    exists = [v for v in range(1, num_vars + 1) if v not in forall]
+    directory = tmp_path_factory.mktemp("formula")
+    plain = directory / "f.cnf"
+    plain.write_text(_dimacs(num_vars, clauses))
+    header, body = _dimacs(num_vars, clauses).split("\n", 1)
+    blocks = "".join(f"{q} {' '.join(map(str, vs))} 0\n" for q, vs in (("a", forall), ("e", exists)))
+    quantified = directory / "f.qcnf"
+    quantified.write_text(f"{header}\n{blocks}{body}")
+    assert _quiet_run(["verify-reduction", "po", str(plain)])[0] == 0
+    # with three universal variables the --all-flags family runs to some 14,000
+    # templates and seconds per formula, so those formulas check the default one
+    code, err = _quiet_run(["verify-reduction", "eef", str(quantified)]
+                           + ["--all-flags"] * (all_flags and len(forall) < 3))
+    assert code == (0 if num_vars else 3), err      # with no variable, no clause either

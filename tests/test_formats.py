@@ -244,6 +244,53 @@ def test_roles_with_a_repeated_structured_key_are_rejected():
         parse_instance(json.dumps(data))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda roles: roles.update(kinds={}), r"document\.roles: unknown field 'kinds'"),
+    (lambda roles: roles.update(agents=[]), r"document\.roles\.agents: expected an object"),
+    (lambda roles: roles.update(resources="clause"),
+     r"document\.roles\.resources: expected an object"),
+    (lambda roles: roles.update(links=[]), r"document\.roles\.links: expected an object"),
+    (lambda roles: roles["links"].update({"a:c1": 0}),
+     r"document\.roles\.links\['a:c1'\]: expected an object"),
+    (lambda roles: roles["agents"].update({"a:nobody": "clause"}),
+     r"document\.roles\.agents: unknown id 'a:nobody'"),
+    (lambda roles: roles["resources"].update({"a:c1": "clause"}),
+     r"document\.roles\.resources: unknown id 'a:c1'"),
+    (lambda roles: roles["links"].update({"o:nothing": {}}),
+     r"document\.roles\.links: unknown id 'o:nothing'"),
+    (lambda roles: roles["links"]["a:c1"].update(colour=1),
+     r"document\.roles\.links\['a:c1'\]: unknown field 'colour'"),
+    (lambda roles: roles["links"]["a:c1"].update(clause="0"),
+     r"document\.roles\.links\['a:c1'\]\.clause: expected an int"),
+    (lambda roles: roles["links"]["a:c1"].update(clause=True),
+     r"document\.roles\.links\['a:c1'\]\.clause: expected an int"),
+    (lambda roles: roles["agents"].update({"a:c1": 7}),
+     r"document\.roles\.agents\['a:c1'\]: roles are strings"),
+    (lambda roles: roles["agents"].update({"a:c1": "judge"}),
+     r"document\.roles: unknown agent role 'judge'"),
+    (lambda roles: roles["resources"].update({"o:c1": "judge"}),
+     r"document\.roles: unknown resource role 'judge'"),
+], ids=["section", "agents-list", "resources-string", "links-list", "link-int", "agent-id",
+        "resource-id", "link-id", "link-field", "link-string", "link-bool", "role-int",
+        "agent-role", "resource-role"])
+def test_malformed_roles_blocks_name_their_path(edit, message):
+    reduction = reduce_3cnf_to_po(EXAMPLE_CNF)
+    data = json.loads(serialize_instance(
+        InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping)))
+    edit(data["roles"])
+    with pytest.raises(FormatError, match=message):
+        parse_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("label", ["agents", "resources"])
+def test_duplicate_ids_name_their_list(label):
+    data = {"kind": "additive", "agents": ["a", "b"], "resources": ["o", "p"],
+            "matrix": [[1, 2], [3, 4]]}
+    data[label] = ["x", "x"]
+    with pytest.raises(FormatError, match=f"document\\.{label}: duplicate id"):
+        parse_instance(json.dumps(data))
+
+
 def test_parse_minimal_document():
     doc = parse_instance('{"kind": "max-atomic", "agents": ["a"],'
                          ' "resources": ["o"], "matrix": [[1]]}')

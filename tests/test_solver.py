@@ -133,13 +133,27 @@ def test_weights_equal_the_sum_form(matrix):
 
 
 def test_invariant_checker_catches_bad_weights():
-    inst = max_atomic_instance([[5, 3]])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="not strictly antitone"):
         # equal weights despite distinct demands
-        check_weight_invariants(inst, WeightMatrix(((1, 1),)))
-    with pytest.raises(ContractError):
+        check_weight_invariants(max_atomic_instance([[5, 3]]), WeightMatrix(((1, 1),)))
+    with pytest.raises(ContractError, match="weight 2 for demand 3 does not dominate the 2 total"):
         # antitone but too small: weight(3) must exceed the sum of larger-demand weights
-        check_weight_invariants(inst, WeightMatrix(((2, 1),)))
+        check_weight_invariants(max_atomic_instance([[5, 5, 3]]), WeightMatrix(((1, 1, 2),)))
+
+
+@pytest.mark.parametrize("instance, weights, message", [
+    (max_atomic_instance([[5, 3]]), ((2, 1),), "not strictly antitone: demand 3 -> 1, demand 5 -> 2"),
+    (max_atomic_instance([[5, 3]]), ((2, 1), (2, 1)), "shape does not match"),
+    (max_atomic_instance([[5, 3]]), ((2,),), "shape does not match"),
+    (max_atomic_instance([[5, 3]]), ((0, 2),), "weight for demand 5 is not positive"),
+    (max_atomic_instance([[Fraction(5, 2), 3]]), ((1, 2),),
+     "not strictly antitone: demand 5/2 -> 1, demand 3 -> 2"),
+    (max_atomic_instance([[5, 5, 3]]), ((1, 2, 3),), "demand 5 maps to two different weights"),
+    (additive_instance([[1]]), ((1,),), "defined against max-atomic demands"),
+], ids=["increasing", "rows", "columns", "zero", "rational", "two-weights", "additive"])
+def test_invariant_checker_names_each_rejection(instance, weights, message):
+    with pytest.raises(ContractError, match=message):
+        check_weight_invariants(instance, WeightMatrix(weights))
 
 
 @given(demand_matrices)
