@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "optimum strictly beats the threshold vector")
     p.add_argument("path", metavar="instance", help="instance document (JSON)")
     p.add_argument("--K", metavar="V1,V2,...",
-                   help="comma-separated per-agent threshold utilities (ints or p/q)")
+                   help="comma-separated per-agent threshold utilities (ints or p/q); "
+                        "a list that starts with '-' must be attached: --K=-1,2")
     p.set_defaults(func=_cmd_solve_leximin)
 
     p = sub.add_parser("check-pareto", help="is the document's allocation Pareto-optimal?")

@@ -17,6 +17,11 @@ perturbation built from bit shifts, which makes the optimum unique.
 
 The same domination lets ``solve_leximin`` weigh and match only the cells of
 the top demand levels, once they hold a maximum matching (see its docstring).
+Its first floor is the smallest largest demand of the lines every maximum
+matching covers (rows and columns alike on a square matrix), so the usual
+solve is one shortest-augmenting-path pass, whose Dijkstra keeps its frontier
+in a heap; a floor that admits too few cells falls to the level that at least
+doubles them, read off the demands ranked once.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
                     UtilityVector, WrongUtilityKind, leximin_compare,
@@ -159,12 +164,16 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
     Kuhn-Munkres method: each new row runs Dijkstra over the reduced costs
     ``cost[i][j] - u[i] - v[j]``, which the row potentials ``u`` and column
     potentials ``v`` keep non-negative, relaxing only the cells of the rows
-    it reaches.  A Dijkstra that runs out of reached columns before it finds
-    a free one proves that no augmenting path exists.  The column
+    it reaches.  The reached, unscanned columns wait in a heap of
+    ``(distance, column)`` entries; a column is pushed again only at a
+    strictly smaller distance, so an entry whose distance is no longer the
+    column's is stale and skipped.  A Dijkstra whose heap runs out before it
+    reaches a free column proves that no augmenting path exists.  The column
     potentials are updated once per augmentation, over the scanned columns
     only.  Pure Python ints, so the huge exact costs never lose precision.
     Returns col_of_row.
     """
+    from heapq import heapify, heappop, heappush   # here, so loading the module imports nothing more
     n = len(costs)
     u = [0] * n
     v = [0] * m
@@ -173,26 +182,30 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
     for s in range(n):
         dist = [_UNREACHED] * m
         pred = [s] * m
-        frontier = {}                       # reached, not yet scanned
+        frontier = []                       # (distance, column), reached, not yet scanned
         for col, c in costs[s].items():
-            dist[col] = frontier[col] = c - v[col]      # u[s] is still 0
+            dist[col] = d = c - v[col]      # u[s] is still 0
+            frontier.append((d, col))
+        heapify(frontier)
         scanned = []
         while True:
             if not frontier:
                 return None
-            j = min(frontier, key=frontier.__getitem__)
-            del frontier[j]
+            d, j = heappop(frontier)
+            if d != dist[j]:
+                continue
             scanned.append(j)
             i = row_of_col[j]
             if i < 0:
                 break
-            base = dist[j] - u[i]
-            # a scanned column's distance is at most dist[j], so the strict
-            # test below never reopens it
+            base = d - u[i]
+            # a scanned column's distance is at most d, so the strict test
+            # below never reopens it
             for col, c in costs[i].items():
                 d = base + c - v[col]
                 if d < dist[col]:
-                    dist[col] = frontier[col] = d
+                    dist[col] = d
+                    heappush(frontier, (d, col))
                     pred[col] = i
         sink = dist[j]
         for col in scanned:
@@ -286,9 +299,14 @@ def solve_leximin(instance: Instance) -> Allocation:
     With the tie-break terms (below S in total) an admitted maximum matching
     costs less than (W + 1) * S, and a matching using a cell below D at least
     that, so when the admitted cells hold a maximum matching their optimum is
-    the optimum.  D starts at the smallest of the largest demands of the lines
-    to be matched; while the admitted cells hold no maximum matching, it falls
-    to the first lower level admitting at least twice as many cells, or all.
+    the optimum.  A floor above some matched line's largest demand admits
+    none of that line's cells, so D starts at the smallest of the largest
+    demands of the lines to be matched: the rows if n <= m, else the columns,
+    and both on a square matrix, whose perfect matchings cover both.  While
+    the admitted cells hold no maximum matching, D falls to the first lower
+    level admitting at least 2k cells (k the cells admitted), or all: that is
+    the 2k-th largest demand, read off the demands ranked once at the first
+    retry.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
@@ -302,17 +320,12 @@ def solve_leximin(instance: Instance) -> Allocation:
         weight_of = _level_weights(chain.from_iterable(map(dict.values, kept)))
         return [{x: weight_of[d] for x, d in line.items()} for line in kept]
 
-    def levels() -> Iterator[tuple[int, int]]:     # (cells at or above, level), top down
-        count = 0
-        for level, k in sorted(Counter(chain.from_iterable(lines)).items(), reverse=True):
-            count += k
-            yield count, level
-
-    floor = min(map(max, lines), default=0)
-    lower = levels()
+    sides = (lines, zip(*lines)) if n == m else (lines,)
+    floor = min(map(max, chain.from_iterable(sides)), default=0)
+    ranked: list[int] = []
     while (matching := _match_lines(n, m, admitted := admit(floor))) is None:
-        grown = min(2 * sum(map(len, admitted)), n * m)
-        floor = next(level for count, level in lower if count >= grown)
+        ranked = ranked or sorted(chain.from_iterable(lines), reverse=True)
+        floor = ranked[min(2 * sum(map(len, admitted)), n * m) - 1]
     for i, j in matching:
         owner[j] = i
     return Allocation(owner)

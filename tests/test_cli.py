@@ -71,6 +71,16 @@ def test_solve_leximin_threshold_decision(tmp_path, capsys):
         assert (code, report) == (3, None) and "malformed rational" in err
 
 
+def test_solve_leximin_threshold_with_a_leading_minus(tmp_path, capsys):
+    path = write_doc(tmp_path, "i.json", max_atomic_instance([[5, 3], [4, 1]]))
+    code, report, _ = run(capsys, ["solve-leximin", path, "--K=-1,2"])
+    assert code == 0 and report["verdict"] == "yes"
+    assert report["witness"]["threshold"] == [-1, 2]
+    # detached, the list reads as an option: bad input, not a crash
+    code, report, err = run(capsys, ["solve-leximin", path, "--K", "-1,2"])
+    assert (code, report) == (3, None) and "--K" in err
+
+
 def test_solve_leximin_threshold_solves_once(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "i.json", max_atomic_instance([[5, 3], [4, 1]]))
     solves = []

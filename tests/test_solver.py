@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,86 @@ def test_matching_equals_the_emaxx_copy_on_arbitrary_weights(rows):
     assert min_weight_max_matching(rows).pairs == emaxx_matching(rows)
 
 
+def scan_assign(costs, m):
+    """``_assign`` as it was before its heap frontier: the next column is the
+    first one reached among those of least distance, found by a scan of a
+    dict of the reached, unscanned columns."""
+    n = len(costs)
+    u = [0] * n
+    v = [0] * m
+    row_of_col = [-1] * m
+    col_of_row = [-1] * n
+    for s in range(n):
+        dist = [float("inf")] * m
+        pred = [s] * m
+        frontier = {}
+        for col, c in costs[s].items():
+            dist[col] = frontier[col] = c - v[col]
+        scanned = []
+        while True:
+            if not frontier:
+                return None
+            j = min(frontier, key=frontier.__getitem__)
+            del frontier[j]
+            scanned.append(j)
+            i = row_of_col[j]
+            if i < 0:
+                break
+            base = dist[j] - u[i]
+            for col, c in costs[i].items():
+                d = base + c - v[col]
+                if d < dist[col]:
+                    dist[col] = frontier[col] = d
+                    pred[col] = i
+        sink = dist[j]
+        for col in scanned:
+            v[col] += dist[col] - sink
+        while True:
+            i = pred[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == s:
+                break
+        for col in scanned:
+            i = row_of_col[col]
+            u[i] = costs[i][col] - v[col]
+    return col_of_row
+
+
+def sparse_costs(rows_within_width):
+    """(width, per-row {col: cost} maps): 1-8 columns and 1-7 rows, no more
+    rows than columns if ``rows_within_width``; costs 0-3, so ties abound,
+    and rows may be empty."""
+    return st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+        st.dictionaries(st.integers(0, m - 1), st.integers(0, 3)),
+        min_size=1, max_size=min(7, m) if rows_within_width else 7)))
+
+
+@given(sparse_costs(rows_within_width=False))
+@settings(max_examples=300, deadline=None)
+def test_heap_frontier_finds_the_optimum_of_the_dict_scan(case):
+    """On costs with tied optima the two frontiers may pick different
+    assignments, but never of different total cost."""
+    m, costs = case
+    heap, scan = fairdiv.solver._assign(costs, m), scan_assign(costs, m)
+    assert (heap is None) == (scan is None)
+    if heap is not None:
+        assert sum(map(dict.__getitem__, costs, heap)) == sum(map(dict.__getitem__, costs, scan))
+
+
+@given(sparse_costs(rows_within_width=True))
+@settings(max_examples=300, deadline=None)
+def test_heap_frontier_equals_the_dict_scan_on_tie_broken_costs(case):
+    """On the costs ``_match_lines`` builds the optimum is unique, so both
+    frontiers return the same assignment."""
+    m, weights = case
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairdiv.solver, "_assign", lambda costs, width: built.append(costs))
+        fairdiv.solver._match_lines(len(weights), m, weights)
+    assert fairdiv.solver._assign(built[0], m) == scan_assign(built[0], m)
+
+
 # demand matrices, n <= m, whose first admitted cells cannot hold a maximum
 # matching (all but the last), or that admit every cell at once (the last)
 GROWTH_CASES = {
@@ -383,6 +464,51 @@ def test_solver_when_the_admitted_cells_must_grow(case, transposed, shape, monke
     assert admitted[0] == (n * m if case == "all tied" else n)
     assert (len(admitted) == 1) == (case == "all tied")
     assert all(after >= min(2 * before, n * m) for before, after in zip(admitted, admitted[1:]))
+    # each retry admits the cells down to the first level, walked top down,
+    # whose running count of cells reaches twice the cells admitted before
+    counts = list(itertools.accumulate(
+        k for _, k in sorted(Counter(itertools.chain.from_iterable(matrix)).items(), reverse=True)))
+    assert admitted[1:] == [next(count for count in counts if count >= min(2 * before, n * m))
+                            for before in admitted[:-1]]
+
+
+def square_floor_case(n, top, seed):
+    """An n x n demand matrix, demands 0..top, whose column 0 peaks below
+    every row's largest demand, with a perfect matching on the cells at or
+    above that peak: a random permutation, its column-0 cell at the peak and
+    its other cells above it."""
+    rng = random.Random(seed)
+    peak = top // 4
+    matrix = [[rng.randint(0, peak)] + [rng.randint(0, top) for _ in range(n - 1)] for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    for i, j in enumerate(perm):
+        matrix[i][j] = peak if j == 0 else rng.randint(peak + 1, top)
+    matrix[perm.index(0)][1] = top   # that row, too, needs a demand above the peak
+    return matrix, peak
+
+
+@pytest.mark.parametrize("top", [9, 10 ** 6], ids=["narrow", "wide"])
+@pytest.mark.parametrize("n", [5, 30])
+def test_solver_on_a_square_matrix_starts_at_the_column_floor(n, top, monkeypatch):
+    """Column 0 holds no demand above the column floor, so the row floor
+    admits no perfect matching; one _assign call on the cells at or above the
+    column floor solves the instance."""
+    matrix, peak = square_floor_case(n, top, f"square/{n}/{top}")
+    row_floor = min(map(max, matrix))
+    col_floor = min(map(max, zip(*matrix)))
+    assert col_floor == peak < row_floor
+    inst = max_atomic_instance(matrix)
+    calls = []
+    assign = fairdiv.solver._assign
+
+    def counted(costs, width):
+        calls.append({(i, j) for i, row in enumerate(costs) for j in row})
+        return assign(costs, width)
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
+    assert calls == [{(i, j) for i in range(n) for j in range(n)
+                      if matrix[i][j] >= min(row_floor, col_floor)}]
 
 
 def leximin_pairs(inst):
