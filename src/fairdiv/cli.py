@@ -11,6 +11,7 @@ node budget is --budget, or 10^7 nodes without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import operator
 import sys
@@ -237,59 +238,51 @@ def _cmd_verify_reduction(args, text: str):
     return (_verify_po if args.which == "po" else _verify_eef)(args, text)
 
 
+_INSTANCE = ("path", {"metavar": "instance"})
+_BUDGET = ("--budget", {"type": int, "help": "search node budget"})
+_OUT = ("--out", {"help": "write the instance document here instead of stdout"})
+
+# subcommand -> (handler, help, arguments as (name, add_argument keywords) pairs)
+_COMMANDS = {
+    "solve-leximin": (_cmd_solve_leximin, "leximin-optimal allocation for a max-atomic instance; "
+                      "with --K, decide whether the optimum strictly beats the threshold vector",
+                      (("path", {"metavar": "instance", "help": "instance document (JSON)"}),
+                       ("--K", {"metavar": "V1,V2,...", "help": "comma-separated per-agent threshold "
+                                "utilities (ints or p/q); a list that starts with '-' must be "
+                                "attached: --K=-1,2"}))),
+    "check-pareto": (_cmd_check_pareto, "is the document's allocation Pareto-optimal?",
+                     (_INSTANCE, _BUDGET)),
+    "check-envy": (_cmd_check_envy, "is the document's allocation envy-free?", (_INSTANCE,)),
+    "find-eef": (_cmd_find_eef, "search for an envy-free Pareto-optimal allocation",
+                 (_INSTANCE, _BUDGET)),
+    "reduce-po": (_cmd_reduce_po, "turn a DIMACS 3CNF formula into an instance plus baseline "
+                  "whose improvability encodes satisfiability",
+                  (("formula", {"help": "DIMACS CNF file"}), _OUT)),
+    "reduce-eef": (_cmd_reduce_eef, "turn a forall/exists DIMACS formula into an instance whose "
+                   "envy-free efficient allocations encode falsity (tautological clauses are added "
+                   "for missing polarities; a formula with no clauses is rejected)",
+                   (("formula", {"help": "DIMACS file with 'a ... 0' and 'e ... 0' lines"}), _OUT)),
+    "verify-reduction": (_cmd_verify_reduction, "run a construction end to end on a formula and "
+                         "check it against the direct decision procedure",
+                         (("which", {"choices": ("po", "eef")}), ("path", {"metavar": "formula"}), _BUDGET,
+                          ("--all-flags", {"action": "store_true", "help": "for eef: check envy-freeness "
+                                           "of every template variant, not just the default one"}))),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in ``_COMMANDS``, built once per
+    process: ``parse_args`` fills a fresh namespace on each call."""
     parser = _Parser(prog="fairdiv",
                      description="Exact fair-division toolkit: leximin solving, "
                                  "efficiency/envy checking, and hardness gadgets.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("solve-leximin", parents=[], help="leximin-optimal allocation "
-                       "for a max-atomic instance; with --K, decide whether the "
-                       "optimum strictly beats the threshold vector")
-    p.add_argument("path", metavar="instance", help="instance document (JSON)")
-    p.add_argument("--K", metavar="V1,V2,...",
-                   help="comma-separated per-agent threshold utilities (ints or p/q); "
-                        "a list that starts with '-' must be attached: --K=-1,2")
-    p.set_defaults(func=_cmd_solve_leximin)
-
-    p = sub.add_parser("check-pareto", help="is the document's allocation Pareto-optimal?")
-    p.add_argument("path", metavar="instance")
-    p.add_argument("--budget", type=int, help="search node budget")
-    p.set_defaults(func=_cmd_check_pareto)
-
-    p = sub.add_parser("check-envy", help="is the document's allocation envy-free?")
-    p.add_argument("path", metavar="instance")
-    p.set_defaults(func=_cmd_check_envy)
-
-    p = sub.add_parser("find-eef", help="search for an envy-free Pareto-optimal allocation")
-    p.add_argument("path", metavar="instance")
-    p.add_argument("--budget", type=int, help="search node budget")
-    p.set_defaults(func=_cmd_find_eef)
-
-    p = sub.add_parser("reduce-po", help="turn a DIMACS 3CNF formula into an instance "
-                       "plus baseline whose improvability encodes satisfiability")
-    p.add_argument("formula", help="DIMACS CNF file")
-    p.add_argument("--out", help="write the instance document here instead of stdout")
-    p.set_defaults(func=_cmd_reduce_po)
-
-    p = sub.add_parser("reduce-eef", help="turn a forall/exists DIMACS formula into an "
-                       "instance whose envy-free efficient allocations encode falsity "
-                       "(tautological clauses are added for missing polarities; a "
-                       "formula with no clauses is rejected)")
-    p.add_argument("formula", help="DIMACS file with 'a ... 0' and 'e ... 0' lines")
-    p.add_argument("--out", help="write the instance document here instead of stdout")
-    p.set_defaults(func=_cmd_reduce_eef)
-
-    p = sub.add_parser("verify-reduction", help="run a construction end to end on a "
-                       "formula and check it against the direct decision procedure")
-    p.add_argument("which", choices=("po", "eef"))
-    p.add_argument("path", metavar="formula")
-    p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--all-flags", action="store_true",
-                   help="for eef: check envy-freeness of every template variant, "
-                        "not just the default one")
-    p.set_defaults(func=_cmd_verify_reduction)
-
+    for name, (func, summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 

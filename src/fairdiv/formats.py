@@ -62,9 +62,9 @@ def rational_from_json(value: object, where: str) -> Rational:
     raise FormatError(f"{where}: expected a rational, got {value!r}")
 
 
-def rational_from_text(token: str) -> Fraction:
-    """Rational from a command-line token: an integer or p/q, in ASCII
-    digits, with surrounding whitespace ignored."""
+def rational_from_text(token: str) -> Rational:
+    """Rational from a command-line token: an integer as an int, or p/q as a
+    Fraction, in ASCII digits, with surrounding whitespace ignored."""
     token = token.strip()
     match = _RATIONAL_RE.fullmatch(token)
     shown = token if len(token) <= 40 else token[:40] + "..."
@@ -72,7 +72,7 @@ def rational_from_text(token: str) -> Fraction:
         raise ContractError(f"malformed rational {shown!r}: expected an integer or p/q")
     numerator, denominator = match.groups()
     try:
-        return Fraction(int(numerator), int(denominator or 1))
+        return int(numerator) if denominator is None else Fraction(int(numerator), int(denominator))
     except ValueError as e:              # more digits than int() converts
         raise ContractError(f"malformed rational {shown!r}: {e}") from None
 

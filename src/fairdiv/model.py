@@ -5,8 +5,10 @@ dominance, envy) are decidable equalities rather than tolerance checks.  An
 instance holds its utilities as scaled ints: one int matrix ``rows`` and one
 ``scale``, the lcm of the cell denominators.  Hot loops compare those ints;
 ``matrix``, the cells as `fractions.Fraction`, is a view for the boundary
-(reports, reference oracles, tests), as are the Fraction utility vectors.
-All types are immutable; all operations are pure functions.
+(reports, reference oracles, tests).  A utility is an int when the scale is
+1 and a Fraction otherwise, so an integral instance's utility vectors hold,
+sort and compare plain ints; a report writes both types alike.  All types
+are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ class WrongUtilityKind(ContractError):
 Rational = Union[int, Fraction]
 
 
-def as_rational(value: object, where: str = "value") -> Fraction:
-    """Coerce ``value`` to an exact Fraction, rejecting floats and bools."""
-    if isinstance(value, Fraction):
+def as_rational(value: object, where: str = "value") -> Rational:
+    """``value`` unchanged if it is an exact rational, an int or a Fraction;
+    floats and bools are rejected."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     raise ContractError(f"{where}: expected an exact rational, got {value!r}")
 
 
@@ -239,8 +240,9 @@ def bundles_of(owner: Sequence[Optional[int]], num_agents: int) -> list[list[int
     return bundles
 
 
-def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    """Value of a set of resources to one agent under the instance's model."""
+def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Rational:
+    """Value of a set of resources to one agent under the instance's model:
+    an int when the instance's scale is 1, else a Fraction."""
     if not 0 <= agent < instance.num_agents:
         raise ContractError(f"agent index {agent} out of range")
     utilities = instance.utilities
@@ -250,21 +252,23 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Fra
         if not 0 <= j < instance.num_resources:
             raise ContractError(f"resource index {j} out of range")
         items.append(row[j])
-    return Fraction(utilities.total(items), utilities.scale)
+    total = utilities.total(items)
+    return total if utilities.scale == 1 else Fraction(total, utilities.scale)
 
 
 @dataclass(frozen=True)
 class UtilityVector:
-    """Per-agent utilities, in agent order.  Comparisons use the sorted view."""
+    """Per-agent utilities, in agent order, each an int or a Fraction as
+    given.  Comparisons use the sorted view."""
 
-    values: tuple[Fraction, ...]
+    values: tuple[Rational, ...]
 
     def __init__(self, values: Iterable[object]):
         object.__setattr__(
             self, "values",
             tuple(as_rational(v, f"utility[{i}]") for i, v in enumerate(values)))
 
-    def sorted(self) -> tuple[Fraction, ...]:
+    def sorted(self) -> tuple[Rational, ...]:
         return tuple(sorted(self.values))
 
     def __len__(self) -> int:
@@ -288,8 +292,11 @@ def scaled_utilities(instance: Instance, allocation: Allocation) -> list[int]:
 
 
 def utility_vector(instance: Instance, allocation: Allocation) -> UtilityVector:
+    """Each agent's utility: the scaled ints themselves when the scale is 1,
+    else Fractions."""
     scale = instance.utilities.scale
-    return UtilityVector(Fraction(t, scale) for t in scaled_utilities(instance, allocation))
+    totals = scaled_utilities(instance, allocation)
+    return UtilityVector(totals if scale == 1 else (Fraction(t, scale) for t in totals))
 
 
 class Ordering(Enum):

@@ -48,12 +48,9 @@ class WeightMatrix:
         rows = []
         for i, row in enumerate(weights):
             row = tuple(row)
-            # a row is checked by the set of its types and its min; the cells
-            # are scanned only to name the offending one
-            if not set(map(type, row)) <= {int} or min(row, default=0) < 0:
-                for j, w in enumerate(row):
-                    if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                        raise ContractError(f"weights[{i}][{j}]: expected a non-negative int, got {w!r}")
+            for j, w in enumerate(row):
+                if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+                    raise ContractError(f"weights[{i}][{j}]: expected a non-negative int, got {w!r}")
             if rows and len(row) != len(rows[0]):
                 raise ContractError("weight matrix must be rectangular")
             rows.append(row)

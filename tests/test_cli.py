@@ -101,6 +101,31 @@ def test_solve_leximin_threshold_solves_once(tmp_path, capsys, monkeypatch):
                         '  }\n}\n')
 
 
+INTEGRAL = [[5, 3, 2], [4, 1, 6], [2, 2, 2]]
+FRACTIONAL = [[Fraction(5, 2), 3, Fraction(1, 2)], [4, Fraction(1, 3), 6], [Fraction(7, 4), 1, Fraction(7, 4)]]
+
+
+@pytest.mark.parametrize("matrix, threshold, code, tail", [
+    (INTEGRAL, "6,4/2,5", 1,
+     '"no",\n  "witness": {\n    "optimum_sorted": [\n      2,\n      5,\n      6\n    ],\n'
+     '    "threshold": [\n      6,\n      2,\n      5\n    ]\n  }\n}\n'),
+    (INTEGRAL, "2,-1/3,6", 0,
+     '"yes",\n  "witness": {\n    "optimum_sorted": [\n      2,\n      5,\n      6\n    ],\n'
+     '    "threshold": [\n      2,\n      "-1/3",\n      6\n    ]\n  }\n}\n'),
+    (FRACTIONAL, "7/4,3,6", 1,
+     '"no",\n  "witness": {\n    "optimum_sorted": [\n      "7/4",\n      3,\n      6\n    ],\n'
+     '    "threshold": [\n      "7/4",\n      3,\n      6\n    ]\n  }\n}\n'),
+    (FRACTIONAL, "3/2,3,6/1", 0,
+     '"yes",\n  "witness": {\n    "optimum_sorted": [\n      "7/4",\n      3,\n      6\n    ],\n'
+     '    "threshold": [\n      "3/2",\n      3,\n      6\n    ]\n  }\n}\n'),
+], ids=["int-tie", "int-beats", "fraction-tie", "fraction-beats"])
+def test_solve_leximin_threshold_mixing_ints_and_fractions(tmp_path, capsys, matrix, threshold, code, tail):
+    # ints and p/q tokens compare as the rationals they are, and print as before
+    path = write_doc(tmp_path, "i.json", max_atomic_instance(matrix))
+    assert main(["solve-leximin", path, f"--K={threshold}"]) == code
+    assert capsys.readouterr().out.endswith('  "verdict": ' + tail)
+
+
 def test_solve_leximin_without_resources(tmp_path, capsys):
     path = write_doc(tmp_path, "i.json", max_atomic_instance([[], []]))
     code, report, _ = run(capsys, ["solve-leximin", path])
@@ -179,6 +204,21 @@ def test_check_envy(tmp_path, capsys):
     assert code == 1
     assert report["witness"] == {"envious_agent": "a2", "envied_agent": "a1"}
     fine = write_doc(tmp_path, "fine.json", inst, Allocation([None]))
+    code, report, _ = run(capsys, ["check-envy", fine])
+    assert code == 0 and report["witness"] is None
+
+
+def test_check_envy_prices_max_atomic_bundles(tmp_path, capsys):
+    # a max-atomic bundle is worth its largest demand: b holds p (1) and a's o is worth 3 to b
+    envious = write_doc(tmp_path, "envy.json", max_atomic_instance([[5, 3], [3, 1]], agents=["a", "b"],
+                                                                   resources=["o", "p"]),
+                        Allocation([0, 1]))
+    code, report, _ = run(capsys, ["check-envy", envious])
+    assert code == 1
+    assert report["witness"] == {"envious_agent": "b", "envied_agent": "a"}
+    # b's bundle {p, q} is worth 4 to a by its largest demand, below a's 5 (its sum, 7, is not)
+    fine = write_doc(tmp_path, "fine.json", max_atomic_instance([[5, 3, 4], [3, 3, 1]]),
+                     Allocation([0, 1, 1]))
     code, report, _ = run(capsys, ["check-envy", fine])
     assert code == 0 and report["witness"] is None
 
@@ -443,13 +483,52 @@ def test_usage_errors_exit_3(tmp_path, capsys):
 
 
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):
-    def broken(args):
+    def broken(path):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(fairdiv.cli, "_cmd_check_envy", broken)
+    # every handler reads its input through _read first; the subcommand table
+    # binds the handlers themselves when the parser is built
+    monkeypatch.setattr(fairdiv.cli, "_read", broken)
     code, report, err = run(capsys, ["check-envy", str(tmp_path / "i.json")])
     assert code == 4 and report is None
     assert "error: internal: RuntimeError: boom" in err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert fairdiv.cli.build_parser() is fairdiv.cli.build_parser()
+    # the search of this document needs more than one node
+    doc = write_doc(tmp_path, "i.json", additive_instance([[1, 1], [1, 1]]), Allocation([None, None]))
+    code, _, err = run(capsys, ["check-pareto"])
+    assert code == 3 and "error:" in err
+    code, report, _ = run(capsys, ["check-pareto", "--budget", "1", doc])
+    assert code == 2 and report["verdict"] == "unknown"
+    code, report, _ = run(capsys, ["check-pareto", doc])
+    assert code == 1 and report["verdict"] == "no" and report["stats"]["nodes"] > 1
+    leximin = write_doc(tmp_path, "m.json", max_atomic_instance([[5, 3], [4, 1]]))
+    code, report, _ = run(capsys, ["solve-leximin", leximin, "--K=1,5"])
+    assert code == 0 and "threshold" in report["witness"]
+    code, report, _ = run(capsys, ["solve-leximin", leximin])
+    assert code == 0 and "threshold" not in report["witness"]
+    assert report["witness"]["utilities_sorted"] == [3, 4]
+
+
+FULL_ARGUMENT_LISTS = [
+    (["solve-leximin", "i.json", "--K=1,5/2"], {"path": "i.json", "K": "1,5/2"}),
+    (["check-pareto", "i.json", "--budget", "7"], {"path": "i.json", "budget": 7}),
+    (["check-envy", "i.json"], {"path": "i.json"}),
+    (["find-eef", "i.json", "--budget", "7"], {"path": "i.json", "budget": 7}),
+    (["reduce-po", "f.cnf", "--out", "o.json"], {"formula": "f.cnf", "out": "o.json"}),
+    (["reduce-eef", "f.cnf", "--out", "o.json"], {"formula": "f.cnf", "out": "o.json"}),
+    (["verify-reduction", "eef", "f.cnf", "--budget", "7", "--all-flags"],
+     {"which": "eef", "path": "f.cnf", "budget": 7, "all_flags": True}),
+]
+
+
+@pytest.mark.parametrize("argv, fields", FULL_ARGUMENT_LISTS, ids=[argv[0] for argv, _ in FULL_ARGUMENT_LISTS])
+def test_parse_args_fills_each_subcommand_namespace(argv, fields):
+    handler = getattr(fairdiv.cli, "_cmd_" + argv[0].replace("-", "_"))
+    args = fairdiv.cli.build_parser().parse_args(argv)
+    assert vars(args) == {"command": argv[0], "func": handler, **fields}
 
 
 LONG_DIGITS = "7" * 5000      # past int()'s default limit of 4300 digits

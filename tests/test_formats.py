@@ -71,7 +71,8 @@ def test_rational_json_rejects_floats_and_bools():
 
 
 def test_rational_from_text():
-    assert rational_from_text("-3") == Fraction(-3)
+    assert rational_from_text("-3") == -3 and type(rational_from_text("-3")) is int
+    assert rational_from_text("6/4") == Fraction(3, 2) and type(rational_from_text("6/4")) is Fraction
     assert rational_from_text("5/2") == Fraction(5, 2)
     assert rational_from_text(" 1/2\n") == Fraction(1, 2)
     with pytest.raises(ContractError):

@@ -192,6 +192,31 @@ def test_utility_vector_max_atomic_example():
     assert vec.sorted() == (Fraction(3), Fraction(4))
 
 
+def test_utilities_stay_ints_on_an_integral_instance():
+    for inst in (additive_instance([[1, 2], [3, -4]]), max_atomic_instance([[1, 2], [3, 4]])):
+        vec = utility_vector(inst, Allocation([0, 1]))
+        assert [type(v) for v in vec.values] == [int, int]
+        assert type(bundle_utility(inst, 1, [0, 1])) is int
+
+
+def test_utilities_are_fractions_on_a_fractional_instance():
+    for inst in (additive_instance([[Fraction(1, 2), 2], [3, 4]]),
+                 max_atomic_instance([[Fraction(1, 2), 2], [3, 4]])):
+        vec = utility_vector(inst, Allocation([0, 1]))
+        assert [type(v) for v in vec.values] == [Fraction, Fraction]
+        assert type(bundle_utility(inst, 1, [0, 1])) is Fraction
+    assert utility_vector(additive_instance([[Fraction(1, 2), 2]]), Allocation([0, 0])).values == (Fraction(5, 2),)
+
+
+def test_utility_vector_keeps_the_types_it_is_given():
+    vec = UtilityVector([1, Fraction(1, 2)])
+    assert [type(v) for v in vec.values] == [int, Fraction]
+    assert vec.sorted() == (Fraction(1, 2), 1)
+    for bad in (0.5, True):
+        with pytest.raises(ContractError, match=r"utility\[1\]"):
+            UtilityVector([1, bad])
+
+
 def test_leximin_compare_examples():
     assert leximin_compare(UtilityVector([1, 5]), UtilityVector([3, 4])) is Ordering.LESS
     assert leximin_compare(UtilityVector([2, 7]), UtilityVector([7, 2])) is Ordering.EQUAL
