@@ -21,7 +21,11 @@ Its first floor is the smallest largest demand of the lines every maximum
 matching covers (rows and columns alike on a square matrix), so the usual
 solve is one shortest-augmenting-path pass, whose Dijkstra keeps its frontier
 in a heap; a floor that admits too few cells falls to the level that at least
-doubles them, read off the demands ranked once.
+doubles them, read off the demands ranked once.  When that first floor is
+already the largest demand, every admitted cell weighs the same, so only the
+tie-break can tell two maximum matchings apart: that instance is solved as
+the lexicographically smallest maximum matching, by alternating paths over
+the admitted cells alone, with no weights and no tie-break bits.
 """
 
 from __future__ import annotations
@@ -259,6 +263,103 @@ def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[Ma
     return Matching((matched[j], j) for j in range(m))
 
 
+def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], sources: Iterable[int],
+              first: int, via: dict[int, int]) -> int:
+    """Breadth-first search for an alternating path from the rows ``sources``:
+    a row takes a column it admits that is not yet in ``via``, and that
+    column's owner, if it is a row from ``first`` on, must take another in
+    turn.  Returns the first free column reached, or -1.  ``via`` maps each
+    column reached to the row that takes it, so after a failed search it
+    holds the columns whose owners cannot move either."""
+    queue = list(sources)
+    for r in queue:
+        for c in adj[r]:
+            if c not in via:
+                via[c] = r
+                o = row_of[c]
+                if o < 0:
+                    return c
+                if o >= first:
+                    queue.append(o)
+    return -1
+
+
+def _shift(col_of: list[int], row_of: list[int], via: dict[int, int], c: int, last: int) -> None:
+    """Give each row on the path ``via`` that ends at column c the column it
+    takes, back to the row ``last`` or to a row that held none."""
+    while True:
+        r = via[c]
+        row_of[c] = r
+        col_of[r], c = c, col_of[r]
+        if c < 0 or r == last:
+            return
+
+
+def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[Matching]:
+    """The lexicographically smallest sorted pair list among the matchings of
+    size min(n, m) on the cells ``adj`` (each row's admitted columns,
+    ascending); None when the cells hold no such matching.  That is the
+    tie-broken optimum of ``_match_lines`` when every admitted cell weighs
+    the same.
+
+    Each row first takes its smallest free column, in row order, and
+    augmenting paths from the unmatched rows grow that to min(n, m): a
+    matching is maximum exactly when none is left (Berge).  Then the rows are
+    decided in order, the matching kept maximum: row i takes the first
+    column j it admits below its own (any, if it has none) whose owner k, a
+    later row, can move on along an alternating path over the later rows to
+    a free column or the one i leaves.  When n > m, k may instead drop out
+    if such a path from an unmatched later row re-covers the column i
+    leaves.  A row that a failed search reached cannot reach a free column in
+    the next search either, so the searches for one row visit each cell once.
+    """
+    col_of = [-1] * n
+    row_of = [-1] * m
+    for i, cols in enumerate(adj):
+        for j in cols:
+            if row_of[j] < 0:
+                row_of[j], col_of[i] = i, j
+                break
+    size, want = n - col_of.count(-1), min(n, m)
+    for s in range(n):
+        if size == want:
+            break
+        if col_of[s] < 0 and (end := _path_end(adj, row_of, (s,), 0, via := {})) >= 0:
+            _shift(col_of, row_of, via, end, s)
+            size += 1
+    if size < want:
+        return None
+    for i in range(n):
+        cur, via, spare = col_of[i], {}, None
+        if cur >= 0:
+            row_of[cur] = -1                    # free while i looks for a smaller column
+        for j in adj[i]:
+            if j == cur:
+                break
+            k = row_of[j]
+            if 0 <= k < i or j in via:          # held by a decided row, or by one that cannot move
+                continue
+            if k >= 0 and cur >= 0:
+                if spare is None:               # can k drop out and an unmatched row re-cover cur?
+                    spare = -1 if n <= m else _path_end(
+                        adj, row_of, [r for r in range(i + 1, n) if col_of[r] < 0], i + 1, via)
+                end = spare
+                if end < 0:
+                    if j in via:
+                        continue
+                    via[j] = i
+                    if (end := _path_end(adj, row_of, (k,), i + 1, via)) < 0:
+                        continue
+                _shift(col_of, row_of, via, end, k)
+            row_of[j], col_of[i] = i, j
+            if k >= 0 and col_of[k] == j:       # k drops out (n > m)
+                col_of[k] = -1
+            break
+        if cur >= 0 and col_of[i] == cur:
+            row_of[cur] = i
+    return Matching((i, j) for i, j in enumerate(col_of) if j >= 0)
+
+
 def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]]) -> Matching:
     """Minimum total weight among maximum-cardinality matchings.
 
@@ -304,6 +405,15 @@ def solve_leximin(instance: Instance) -> Allocation:
     level admitting at least 2k cells (k the cells admitted), or all: that is
     the 2k-th largest demand, read off the demands ranked once at the first
     retry.
+
+    When the first floor equals the largest demand, the admitted cells are
+    one level and all weigh the same, so every admitted maximum matching
+    costs the same and the tie-break alone picks the optimum: the
+    lexicographically smallest sorted pair list.  ``_lex_max_matching``
+    finds it on the admitted cells directly; that is exact because the
+    admitted optimum is the global optimum, as above.  If those cells hold
+    no maximum matching, the retry's floor lies below the top level and the
+    weighted matching answers.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
@@ -317,12 +427,18 @@ def solve_leximin(instance: Instance) -> Allocation:
         weight_of = _level_weights(chain.from_iterable(map(dict.values, kept)))
         return [{x: weight_of[d] for x, d in line.items()} for line in kept]
 
-    sides = (lines, zip(*lines)) if n == m else (lines,)
-    floor = min(map(max, chain.from_iterable(sides)), default=0)
+    tops = list(map(max, lines))
+    floor = min(chain(tops, map(max, zip(*lines))) if n == m else tops, default=0)
     ranked: list[int] = []
-    while (matching := _match_lines(n, m, admitted := admit(floor))) is None:
+    if floor == max(tops, default=floor):          # one level: every admitted cell weighs 1
+        admitted = [[j for j, d in enumerate(row) if d >= floor] for row in demands]
+        matching = _lex_max_matching(n, m, admitted)
+    else:
+        matching = _match_lines(n, m, admitted := admit(floor))
+    while matching is None:
         ranked = ranked or sorted(chain.from_iterable(lines), reverse=True)
         floor = ranked[min(2 * sum(map(len, admitted)), n * m) - 1]
+        matching = _match_lines(n, m, admitted := admit(floor))
     for i, j in matching:
         owner[j] = i
     return Allocation(owner)

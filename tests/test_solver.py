@@ -29,7 +29,7 @@ from fairdiv import (
     utility_vector,
 )
 from fairdiv.model import ContractError
-from fairdiv.solver import _tie_break
+from fairdiv.solver import _lex_max_matching, _match_lines, _tie_break
 
 demand_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -447,13 +447,18 @@ def test_solver_when_the_admitted_cells_must_grow(case, transposed, shape, monke
         matrix = [list(col) for col in zip(*matrix)]
     inst = max_atomic_instance(matrix)
     admitted = []
-    assign = fairdiv.solver._assign
+    assign, lex = fairdiv.solver._assign, fairdiv.solver._lex_max_matching
 
     def counted(costs, width):
         admitted.append(sum(map(len, costs)))
         return assign(costs, width)
 
+    def counted_lex(n, m, adj):     # every case here first admits its top level alone
+        admitted.append(sum(map(len, adj)))
+        return lex(n, m, adj)
+
     monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", counted_lex)
     owner = solve_leximin(inst).owner
     assert tuple(sorted((i, j) for j, i in enumerate(owner) if i is not None)) == \
         emaxx_matching(generate_weights(inst).weights)
@@ -569,6 +574,104 @@ def test_solve_leximin_weighs_only_the_admitted_levels(monkeypatch):
     monkeypatch.setattr(fairdiv.solver, "_assign", counted)
     assert sum(who is not None for who in solve_leximin(inst).owner) == n
     assert calls and calls[-1] < n * m
+
+
+# ---------------------------------------------------------------------------
+# the one-level path: every admitted cell on the top demand level
+
+@st.composite
+def admitted_cells(draw):
+    """(n, m, adj): a short or tall shape up to 8 x 12, each row's admitted
+    columns ascending, at one drawn density from none to every cell."""
+    short = draw(st.integers(0, 8))
+    long = draw(st.integers(short, 12))
+    n, m = (long, short) if draw(st.booleans()) else (short, long)
+    density = draw(st.integers(0, 10))
+    cells = draw(st.lists(st.lists(st.integers(0, 9), min_size=m, max_size=m), min_size=n, max_size=n))
+    return n, m, [[j for j, x in enumerate(row) if x < density] for row in cells]
+
+
+def unit_lines(n, m, adj):
+    """The cells of ``adj`` as the unit-weight lines ``_match_lines`` matches."""
+    if n <= m:
+        return [dict.fromkeys(cols, 1) for cols in adj]
+    return [{i: 1 for i, cols in enumerate(adj) if j in cols} for j in range(m)]
+
+
+@given(admitted_cells())
+@example((3, 4, [[0], [0], [0]]))                               # no maximum matching
+@example((3, 3, [[0, 1], [0, 2], [0, 2]]))                      # row 1 pushes row 2 on
+@example((5, 3, [[], [1, 2], [1], [0, 2], [0]]))                # an unmatched row re-covers
+@example((4, 3, [[0, 2], [0, 1], [0, 1], [0, 1]]))              # an unmatched row takes over
+@settings(max_examples=400, deadline=None)
+def test_lex_max_matching_equals_the_unit_weight_matching(case):
+    n, m, adj = case
+    assert _lex_max_matching(n, m, adj) == _match_lines(n, m, unit_lines(n, m, adj))
+
+
+@st.composite
+def two_level_demands(draw):
+    """Demands from {0, top} or {top - 1, top}, in the shapes of
+    ``admitted_cells`` with at least one row and column."""
+    top = draw(st.integers(1, 9))
+    levels = draw(st.sampled_from([(0, top), (top - 1, top)]))
+    short = draw(st.integers(1, 8))
+    long = draw(st.integers(short, 12))
+    n, m = (long, short) if draw(st.booleans()) else (short, long)
+    return draw(st.lists(st.lists(st.sampled_from(levels), min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@given(two_level_demands())
+@example([[]])                                                  # no resources
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])                                # every demand 0
+@example([[3, 0, 3, 3]])                                        # a single row
+@example([[0], [2], [2]])                                       # a single column
+@example([[1, 0], [1, 0], [0, 0], [1, 1]])                      # n > m, two rows unmatched
+@example([[1, 0, 1], [1, 1, 0], [1, 1, 0], [1, 1, 0]])          # n > m, an unmatched row takes over
+@settings(max_examples=200, deadline=None)
+def test_solve_leximin_equals_the_emaxx_copy_on_two_levels(matrix):
+    inst = max_atomic_instance(matrix)
+    expected = emaxx_matching(generate_weights(inst).weights) if matrix[0] else ()
+    assert leximin_pairs(inst) == expected
+
+
+def test_solve_leximin_on_one_level_makes_no_weighted_matching(monkeypatch):
+    """110 x 110, demands 0-9: every row and column holds a 9, and the 9s
+    hold a perfect matching, so the lexicographic matching alone solves it."""
+    rng = random.Random(110)
+    inst = max_atomic_instance([[rng.randint(0, 9) for _ in range(110)] for _ in range(110)])
+    expected = min_weight_max_matching(generate_weights(inst)).pairs
+
+    def forbidden(*args):
+        raise AssertionError("_assign was called")
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", forbidden)
+    assert leximin_pairs(inst) == expected
+
+
+def test_solve_leximin_retries_a_one_level_miss_on_the_weighted_matching(monkeypatch):
+    """The hot column alone holds no maximum matching: the lexicographic
+    matching says so once, and the retry's cells go to ``_assign``."""
+    n, m = 6, 20
+    inst = max_atomic_instance(growth_case("hot column", n, m))
+    calls = []
+    assign, lex = fairdiv.solver._assign, fairdiv.solver._lex_max_matching
+
+    def counted(costs, width):
+        calls.append(("_assign", sorted((i, j) for i, row in enumerate(costs) for j in row)))
+        return assign(costs, width)
+
+    def counted_lex(n, m, adj):
+        calls.append(("_lex_max_matching", adj, matched := lex(n, m, adj)))
+        return matched
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", counted_lex)
+    assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
+    # twice the 6 hot cells reach down to demand 0: the retry admits every cell
+    assert calls == [("_lex_max_matching", [[0]] * n, None),
+                     ("_assign", [(i, j) for i in range(n) for j in range(m)])]
 
 
 def test_tie_break_terms_lie_below_the_weight_shift():
