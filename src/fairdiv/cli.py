@@ -44,12 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()             # one decode of the whole file: e.start is a file offset
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+def _read(path: str) -> tuple[str, str]:
+    """The file's text, decoded as strict UTF-8, and the digest of its bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8"), sha256_digest(data)   # one decode: e.start is a file offset
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def _budget(args) -> SearchBudget:
@@ -62,17 +64,23 @@ def _require_allocation(doc: InstanceDocument):
     return doc.allocation
 
 
+def _search_report(verdict, key: str, instance):
+    """A search's report fields, with the verdict's witness allocation, if any, under ``key``."""
+    witness = None if verdict.witness is None else {key: allocation_to_json(instance, verdict.witness)}
+    return verdict.kind.value, witness, verdict.nodes
+
+
 def _reporting(decide):
     """A report command from ``decide(args, text) -> (verdict, witness,
     nodes)``: read the input file, time ``decide`` on its text, and print
     the report, whose exit code follows the verdict."""
     def command(args) -> int:
-        text = _read(args.path)
+        text, digest = _read(args.path)
         started = time.perf_counter()
         verdict, witness, nodes = decide(args, text)
         wall_ms = (time.perf_counter() - started) * 1000
         report = make_report(args.command, verdict, witness=witness, nodes=nodes,
-                             wall_ms=wall_ms, inputs={args.path: sha256_digest(text)})
+                             wall_ms=wall_ms, inputs={args.path: digest})
         sys.stdout.write(report_to_json(report))
         return exit_code(verdict)
     return command
@@ -97,10 +105,7 @@ def _cmd_solve_leximin(args, text: str):
 def _cmd_check_pareto(args, text: str):
     doc = parse_instance(text)
     verdict = is_pareto_optimal(doc.instance, _require_allocation(doc), _budget(args))
-    witness = None
-    if verdict.is_no:
-        witness = {"dominating_allocation": allocation_to_json(doc.instance, verdict.witness)}
-    return verdict.kind.value, witness, verdict.nodes
+    return _search_report(verdict, "dominating_allocation", doc.instance)
 
 
 @_reporting
@@ -116,11 +121,7 @@ def _cmd_check_envy(args, text: str):
 @_reporting
 def _cmd_find_eef(args, text: str):
     instance = parse_instance(text).instance
-    verdict = brute_force_eef(instance, _budget(args))
-    witness = None
-    if verdict.is_yes:
-        witness = {"allocation": allocation_to_json(instance, verdict.witness)}
-    return verdict.kind.value, witness, verdict.nodes
+    return _search_report(brute_force_eef(instance, _budget(args)), "allocation", instance)
 
 
 def _write_document(doc: InstanceDocument, out: Optional[str]) -> None:
@@ -133,7 +134,7 @@ def _write_document(doc: InstanceDocument, out: Optional[str]) -> None:
 
 
 def _cmd_reduce_po(args) -> int:
-    formula = parse_dimacs(_read(args.formula))
+    formula = parse_dimacs(_read(args.formula)[0])
     reduction = reduce_3cnf_to_po(formula)
     _write_document(InstanceDocument(reduction.instance, reduction.baseline, reduction.mapping),
                     args.out)
@@ -141,7 +142,7 @@ def _cmd_reduce_po(args) -> int:
 
 
 def _cmd_reduce_eef(args) -> int:
-    formula, _ = augment_both_polarities(parse_ae_dimacs(_read(args.formula)))
+    formula, _ = augment_both_polarities(parse_ae_dimacs(_read(args.formula)[0]))
     reduction = reduce_ae3cnf_to_eef(formula)
     _write_document(InstanceDocument(reduction.instance, None, reduction.mapping), args.out)
     return 0

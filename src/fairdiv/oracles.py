@@ -343,20 +343,17 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     counter = _Counter(budget)
     utilities = instance.utilities
     n, m = instance.num_agents, instance.num_resources
-    explicit = candidates is not None
-    if not explicit:                     # owner vectors, with an Allocation built only for the witness
-        candidates = itertools.product((None, *range(n)), repeat=m)
+    # owner vectors, explicit candidates checked as they are drawn; an Allocation only for the witness
+    owner_vectors = itertools.product((None, *range(n)), repeat=m) if candidates is None else (
+        c.owner for c in candidates if check_allocation(instance, c) is None)
     try:
-        for candidate in candidates:
+        for owners in owner_vectors:
             counter.spend()
-            if explicit:
-                check_allocation(instance, candidate)
-            owners = candidate.owner if explicit else candidate
             bundles = bundles_of(owners, n)
             if envy_in_rows(utilities, bundles) is not None:
                 continue
             if _dominator_search(utilities.rows, bundle_totals(utilities, bundles), counter) is None:
-                return TriVerdict.yes(candidate if explicit else Allocation(owners), counter.used)
+                return TriVerdict.yes(Allocation(owners), counter.used)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)
     return TriVerdict.no(counter.used)

@@ -211,12 +211,7 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
         sink = dist[j]
         for col in scanned:
             v[col] += dist[col] - sink
-        while True:                     # flip the path back to s
-            i = pred[j]
-            row_of_col[j] = i
-            col_of_row[i], j = j, col_of_row[i]
-            if i == s:
-                break
+        _shift(col_of_row, row_of_col, pred, j, s)
         for col in scanned:             # matched cells get reduced cost 0
             i = row_of_col[col]
             u[i] = costs[i][col] - v[col]
@@ -240,11 +235,11 @@ def _tie_break(n: int, m: int) -> tuple[int, int, int]:
     return c, top, (min(n, m) * top).bit_length()  # S > min(n, m) * top
 
 
-def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[Matching]:
+def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[list[int]]:
     """The tie-broken matching of ``min_weight_max_matching`` on an n x m
-    matrix, solved on the admitted ``{position: weight}`` cells of each line
-    that must be matched (rows if n <= m, else columns); None when those
-    cells hold no maximum matching."""
+    matrix, as the row of each column (-1 if free), solved on the admitted
+    ``{position: weight}`` cells of each line that must be matched (rows if
+    n <= m, else columns); None when those cells hold no maximum matching."""
     # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
     # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
     # OR-ing it in adds it
@@ -256,11 +251,10 @@ def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[Ma
         costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in line.items()}
                  for j, line in enumerate(lines)]
     matched = _assign(costs, max(n, m))
-    if matched is None:
-        return None
-    if n <= m:
-        return Matching((i, matched[i]) for i in range(n))
-    return Matching((matched[j], j) for j in range(m))
+    if matched is None or n > m:                   # n > m: the lines were the columns
+        return matched
+    row_of = dict(zip(matched, range(n)))          # n <= m: every row holds a column
+    return [row_of.get(j, -1) for j in range(m)]
 
 
 def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], sources: Iterable[int],
@@ -284,9 +278,10 @@ def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], sources: Iterable
     return -1
 
 
-def _shift(col_of: list[int], row_of: list[int], via: dict[int, int], c: int, last: int) -> None:
+def _shift(col_of: list[int], row_of: list[int], via: Union[dict, list], c: int, last: int) -> None:
     """Give each row on the path ``via`` that ends at column c the column it
-    takes, back to the row ``last`` or to a row that held none."""
+    takes, back to the row ``last`` or to a row that held none.  ``via`` is any
+    map from column to row: a dict in the lexicographic pass, ``pred`` in ``_assign``."""
     while True:
         r = via[c]
         row_of[c] = r
@@ -295,12 +290,12 @@ def _shift(col_of: list[int], row_of: list[int], via: dict[int, int], c: int, la
             return
 
 
-def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[Matching]:
+def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """The lexicographically smallest sorted pair list among the matchings of
     size min(n, m) on the cells ``adj`` (each row's admitted columns,
-    ascending); None when the cells hold no such matching.  That is the
-    tie-broken optimum of ``_match_lines`` when every admitted cell weighs
-    the same.
+    ascending), as the row of each column (-1 if free); None when the
+    cells hold no such matching.  That is the tie-broken optimum of
+    ``_match_lines`` when every admitted cell weighs the same.
 
     Each row first takes its smallest free column, in row order, and
     augmenting paths from the unmatched rows grow that to min(n, m): a
@@ -357,7 +352,7 @@ def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[
             break
         if cur >= 0 and col_of[i] == cur:
             row_of[cur] = i
-    return Matching((i, j) for i, j in enumerate(col_of) if j >= 0)
+    return row_of
 
 
 def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]]) -> Matching:
@@ -373,7 +368,8 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     # every row is matched when n <= m, every column otherwise; on every cell
     # a maximum matching always exists
     lines = rows if n <= m else tuple(zip(*rows))
-    return _match_lines(n, m, [dict(enumerate(line)) for line in lines])
+    row_of = _match_lines(n, m, [dict(enumerate(line)) for line in lines])
+    return Matching((i, j) for j, i in enumerate(row_of) if i >= 0)
 
 
 def matching_weight(weights: Union[WeightMatrix, Sequence[Sequence[int]]], matching: Matching) -> int:
@@ -418,7 +414,6 @@ def solve_leximin(instance: Instance) -> Allocation:
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
     n, m = instance.num_agents, instance.num_resources
-    owner: list[Optional[int]] = [None] * m
     demands = instance.utilities.rows
     lines = demands if n <= m else tuple(zip(*demands))   # none if n or m is 0
 
@@ -432,16 +427,14 @@ def solve_leximin(instance: Instance) -> Allocation:
     ranked: list[int] = []
     if floor == max(tops, default=floor):          # one level: every admitted cell weighs 1
         admitted = [[j for j, d in enumerate(row) if d >= floor] for row in demands]
-        matching = _lex_max_matching(n, m, admitted)
+        row_of = _lex_max_matching(n, m, admitted)
     else:
-        matching = _match_lines(n, m, admitted := admit(floor))
-    while matching is None:
+        row_of = _match_lines(n, m, admitted := admit(floor))
+    while row_of is None:
         ranked = ranked or sorted(chain.from_iterable(lines), reverse=True)
         floor = ranked[min(2 * sum(map(len, admitted)), n * m) - 1]
-        matching = _match_lines(n, m, admitted := admit(floor))
-    for i, j in matching:
-        owner[j] = i
-    return Allocation(owner)
+        row_of = _match_lines(n, m, admitted := admit(floor))
+    return Allocation(None if i < 0 else i for i in row_of)
 
 
 def beats_threshold(optimum: UtilityVector, threshold: Union[UtilityVector, Sequence[object]]) -> bool:

@@ -1,8 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +57,24 @@ def test_solve_leximin_reports_the_optimum(tmp_path, capsys):
     assert report["verdict"] == "yes"
     assert report["witness"]["utilities_sorted"] == [3, 4]
     assert report["witness"]["allocation"] == {"o1": "a2", "o2": "a1"}
-    assert report["provenance"]["inputs"][path].startswith("sha256:")
+    assert report["provenance"]["inputs"][path] == "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve-leximin"], serialize_instance(InstanceDocument(max_atomic_instance([[5, 3], [4, 1]])))),
+    (["verify-reduction", "po"], EXAMPLE_DIMACS),
+], ids=["instance", "dimacs"])
+def test_a_crlf_file_reports_the_digest_of_its_bytes(tmp_path, capsys, argv, text):
+    reports = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode())
+        code, report, _ = run(capsys, [*argv, str(path)])
+        assert code == 0
+        inputs = report["provenance"].pop("inputs")
+        assert inputs == {str(path): "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()}
+        reports[name] = strip_volatile(report)
+    assert reports["lf"] == reports["crlf"]        # the same answer, from different bytes
 
 
 def test_solve_leximin_threshold_decision(tmp_path, capsys):
@@ -678,3 +700,27 @@ def test_verify_reduction_never_reports_an_unsound_reduction(tmp_path_factory, f
     code, err = _quiet_run(["verify-reduction", "eef", str(quantified)]
                            + ["--all-flags"] * (all_flags and len(forall) < 3))
     assert code == (0 if num_vars else 3), err      # with no variable, no clause either
+
+
+# ---------------------------------------------------------------------------
+# the module run as a program
+
+
+def test_exit_codes_through_a_real_process(tmp_path):
+    """``python -m fairdiv.cli`` passes each verdict's code out of the
+    process, through the ``__main__`` guard that in-process tests skip."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    leximin = write_doc(tmp_path, "m.json", max_atomic_instance([[5, 3], [4, 1]]))
+    envious = write_doc(tmp_path, "e.json", additive_instance([[1], [1]]), Allocation([1]))
+    open_search = write_doc(tmp_path, "p.json", additive_instance([[1, 1], [1, 1]]), Allocation([None, None]))
+    cases = [(0, ["solve-leximin", leximin]), (1, ["check-envy", envious]),
+             (2, ["check-pareto", "--budget", "1", open_search]),
+             (3, ["check-envy", str(tmp_path / "missing.json")])]
+    for code, argv in cases:
+        done = subprocess.run([sys.executable, "-m", "fairdiv.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code < 3:
+            assert json.loads(done.stdout)["verdict"] == ("yes", "no", "unknown")[code]
+        else:
+            assert done.stdout == "" and done.stderr.startswith("error:")

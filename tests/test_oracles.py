@@ -443,6 +443,18 @@ def test_eef_candidate_restriction_is_honoured():
     assert verdict.is_no
 
 
+def test_eef_explicit_candidates_are_checked_as_they_are_drawn():
+    inst = additive_instance([[1, 0], [0, 1]])
+    own = Allocation([0, 1])
+    # the empty allocation is envy-free but dominated; the next is the answer,
+    # and the malformed candidate after it is never drawn
+    verdict = brute_force_eef(inst, candidates=iter([Allocation.empty(2), own, Allocation([0])]))
+    assert verdict.is_yes and verdict.witness == own
+    for bad in (Allocation([0]), Allocation([0, 1, None]), Allocation([0, 2])):
+        with pytest.raises(ContractError):
+            brute_force_eef(inst, candidates=[Allocation.empty(2), bad])
+
+
 # ---------------------------------------------------------------------------
 # satisfiability on partial assignments
 
