@@ -204,24 +204,31 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     matrix_data = _expect(data, "matrix", list, "document")
     if len(matrix_data) != len(agents):
         raise FormatError(f"document.matrix: {len(matrix_data)} rows for {len(agents)} agents")
-    matrix = []
-    for i, row in enumerate(matrix_data):
-        if not isinstance(row, list) or len(row) != len(resources):
-            raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
-        if not set(map(type, row)) <= {int}:          # a row of JSON ints goes to the model as it is
-            try:
-                row = [rational_from_json(v, "document.matrix") for v in row]
-            except FormatError:
-                # the cell path is formatted only here, on the way out
-                for j, v in enumerate(row):
-                    rational_from_json(v, f"document.matrix[{i}][{j}]")
-                raise
-        matrix.append(row)
-
+    # decoded text holds no Fraction, which the model takes and a document does not, so
+    # rows that are lists go to the model as they are: it checks their shape and each cell once
+    fits = isinstance(document, str) and all(isinstance(row, list) for row in matrix_data)
     try:
-        instance = Instance(agents, resources, model(matrix))
-    except ContractError as e:
-        raise FormatError(f"document: {e}") from None
+        instance = Instance(agents, resources, model(matrix_data)) if fits else None
+    except ContractError:
+        instance = None                               # the loop below names the fault
+    if instance is None:
+        matrix = []
+        for i, row in enumerate(matrix_data):
+            if not isinstance(row, list) or len(row) != len(resources):
+                raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
+            if not set(map(type, row)) <= {int}:      # a row of JSON ints goes to the model as it is
+                try:
+                    row = [rational_from_json(v, "document.matrix") for v in row]
+                except FormatError:
+                    # the cell path is formatted only here, on the way out
+                    for j, v in enumerate(row):
+                        rational_from_json(v, f"document.matrix[{i}][{j}]")
+                    raise
+            matrix.append(row)
+        try:
+            instance = Instance(agents, resources, model(matrix))
+        except ContractError as e:
+            raise FormatError(f"document: {e}") from None
 
     allocation = None
     if "allocation" in data:

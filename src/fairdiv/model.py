@@ -264,9 +264,10 @@ class UtilityVector:
     values: tuple[Rational, ...]
 
     def __init__(self, values: Iterable[object]):
-        object.__setattr__(
-            self, "values",
-            tuple(as_rational(v, f"utility[{i}]") for i, v in enumerate(values)))
+        values = tuple(values)
+        if not set(map(type, values)) <= {int, Fraction}:     # messages are built only on a rejection
+            values = tuple(as_rational(v, f"utility[{i}]") for i, v in enumerate(values))
+        object.__setattr__(self, "values", values)
 
     def sorted(self) -> tuple[Rational, ...]:
         return tuple(sorted(self.values))

@@ -18,14 +18,15 @@ perturbation built from bit shifts, which makes the optimum unique.
 The same domination lets ``solve_leximin`` weigh and match only the cells of
 the top demand levels, once they hold a maximum matching (see its docstring).
 Its first floor is the smallest largest demand of the lines every maximum
-matching covers (rows and columns alike on a square matrix), so the usual
-solve is one shortest-augmenting-path pass, whose Dijkstra keeps its frontier
-in a heap; a floor that admits too few cells falls to the level that at least
-doubles them, read off the demands ranked once.  When that first floor is
-already the largest demand, every admitted cell weighs the same, so only the
+matching covers, so the usual solve is one shortest-augmenting-path pass; a
+floor that admits too few cells falls to the level that at least doubles
+them, read off the demands ranked once.  When every line peaks at the
+largest demand (on a square matrix, every column too, which the positions
+of that demand show), every admitted cell weighs the same, so only the
 tie-break can tell two maximum matchings apart: that instance is solved as
 the lexicographically smallest maximum matching, by alternating paths over
-the admitted cells alone, with no weights and no tie-break bits.
+the admitted cells alone, with no weights and no tie-break bits.  Column
+maxima are read only for a square matrix of more than one level.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Per (agent, resource) matching weights: positive big integers,
+    """Per (agent, resource) matching weights: non-negative big integers,
     strictly antitone in the demand (equal demands get equal weights)."""
 
     weights: tuple[tuple[int, ...], ...]
@@ -355,6 +356,16 @@ def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[
     return row_of
 
 
+def _places(row: Sequence[int], x: int) -> list[int]:
+    """The positions of ``x`` in ``row``, ascending, found by ``index`` scans."""
+    places, j = [], -1
+    try:
+        while True:
+            places.append(j := row.index(x, j + 1))
+    except ValueError:
+        return places
+
+
 def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]]) -> Matching:
     """Minimum total weight among maximum-cardinality matchings.
 
@@ -409,7 +420,8 @@ def solve_leximin(instance: Instance) -> Allocation:
     finds it on the admitted cells directly; that is exact because the
     admitted optimum is the global optimum, as above.  If those cells hold
     no maximum matching, the retry's floor lies below the top level and the
-    weighted matching answers.
+    weighted matching answers.  The one-level test reads the line maxima and
+    the top demand's positions, and column maxima only on a square multi-level matrix.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")
@@ -423,10 +435,14 @@ def solve_leximin(instance: Instance) -> Allocation:
         return [{x: weight_of[d] for x, d in line.items()} for line in kept]
 
     tops = list(map(max, lines))
-    floor = min(chain(tops, map(max, zip(*lines))) if n == m else tops, default=0)
+    top, floor = max(tops, default=0), min(tops, default=0)
+    if floor == top:                               # every line peaks at the top demand
+        admitted = [_places(row, top) for row in demands]
+    # a square matrix's columns count too, unless the top demands reach them all
+    if n == m and (floor < top or len(set().union(*admitted)) < m):
+        floor = min(floor, *map(max, zip(*lines)))
     ranked: list[int] = []
-    if floor == max(tops, default=floor):          # one level: every admitted cell weighs 1
-        admitted = [[j for j, d in enumerate(row) if d >= floor] for row in demands]
+    if floor == top:                               # one level: every admitted cell weighs 1
         row_of = _lex_max_matching(n, m, admitted)
     else:
         row_of = _match_lines(n, m, admitted := admit(floor))

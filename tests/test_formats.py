@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairdiv.formats
 from fairdiv import (
     AEFormula,
     Allocation,
@@ -321,6 +322,72 @@ def test_parse_errors_name_the_offending_path():
 
     with pytest.raises(FormatError, match="agents"):
         parse_instance(json.dumps({k: v for k, v in base.items() if k != "agents"}))
+
+
+_OVERSIZED = "9" * 5000             # a JSON integer past int()'s digit limit
+
+
+def two_by_two(kind, cell, row_1):
+    """A 2 x 2 document's text with ``cell`` at [0][1] and ``row_1`` as its
+    second row; ``_OVERSIZED`` goes in as a bare JSON integer."""
+    text = json.dumps({"kind": kind, "agents": ["a", "b"], "resources": ["o", "p"],
+                       "matrix": [[1, cell], row_1]})
+    return text.replace(json.dumps(_OVERSIZED), _OVERSIZED)
+
+
+@pytest.mark.parametrize("kind", ["max-atomic", "additive"])
+@pytest.mark.parametrize("cell, message", [
+    (0.5, 'floats are not exact; write rationals as "p/q" strings'),
+    (True, "expected a rational, got a boolean"),
+    (None, "expected a rational, got None"),
+    ("x", "malformed rational 'x'"),
+    ("3", "malformed rational '3'"),
+    ([1], "expected a rational, got [1]"),
+    ({"a": 1}, "expected a rational, got {'a': 1}"),
+    (_OVERSIZED, "expected a rational, got an integer of 5000 digits, more than Python converts"),
+], ids=["float", "bool", "null", "word", "int-string", "list", "dict", "oversized"])
+def test_a_malformed_cell_is_reported_before_a_later_short_row(kind, cell, message):
+    """The first fault in row order is the one reported, whether or not
+    every row has the right length."""
+    for row_1 in ([2, 3], [2]):
+        with pytest.raises(FormatError) as e:
+            parse_instance(two_by_two(kind, cell, row_1))
+        assert str(e.value) == f"document.matrix[0][1]: {message}"
+
+
+@pytest.mark.parametrize("kind", ["max-atomic", "additive"])
+@pytest.mark.parametrize("cell", ["1/2", "-1/2", -1])
+def test_a_later_short_row_is_reported_after_well_formed_cells(kind, cell):
+    with pytest.raises(FormatError) as e:
+        parse_instance(two_by_two(kind, cell, [2]))
+    assert str(e.value) == "document.matrix[1]: expected a row of 2 entries"
+    if kind == "max-atomic" and cell != "1/2":
+        with pytest.raises(FormatError) as e:
+            parse_instance(two_by_two(kind, cell, [2, 3]))
+        assert str(e.value) == f"document: demands[0][1]: demands must be non-negative, got {cell}"
+    else:
+        assert parse_instance(two_by_two(kind, cell, [2, 3])).instance.matrix[0][1] == Fraction(cell)
+
+
+def test_an_all_int_document_reads_no_cell_as_a_rational(monkeypatch):
+    def forbidden(value, where):
+        raise AssertionError(f"rational_from_json({value!r}, {where!r})")
+
+    monkeypatch.setattr(fairdiv.formats, "rational_from_json", forbidden)
+    for kind in ("max-atomic", "additive"):
+        doc = parse_instance(two_by_two(kind, 4, [2, 3]))
+        assert doc.instance.utilities.rows == ((1, 4), (2, 3))
+        assert doc.instance.utilities.scale == 1
+    with pytest.raises(FormatError, match=r"document: demands\[1\]\[0\]: demands must be non-negative"):
+        parse_instance(two_by_two("max-atomic", 4, [-2, 3]))
+
+
+def test_a_decoded_document_with_a_fraction_cell_is_rejected():
+    """Only text and what ``json`` decodes are documents: a Fraction cell is not."""
+    data = {"kind": "additive", "agents": ["a"], "resources": ["o", "p"], "matrix": [[1, Fraction(1, 2)]]}
+    with pytest.raises(FormatError) as e:
+        parse_instance(data)
+    assert str(e.value) == "document.matrix[0][1]: expected a rational, got Fraction(1, 2)"
 
 
 def test_parse_rejects_negative_demands_for_max_atomic():

@@ -217,6 +217,13 @@ def test_utility_vector_keeps_the_types_it_is_given():
             UtilityVector([1, bad])
 
 
+def test_utility_vector_names_the_first_rejected_value():
+    for bad, shown in ((0.5, "0.5"), (True, "True"), (None, "None"), ("1/2", "'1/2'")):
+        with pytest.raises(ContractError) as e:
+            UtilityVector([1, Fraction(1, 2), bad, 0.25])
+        assert str(e.value) == f"utility[2]: expected an exact rational, got {shown}"
+
+
 def test_leximin_compare_examples():
     assert leximin_compare(UtilityVector([1, 5]), UtilityVector([3, 4])) is Ordering.LESS
     assert leximin_compare(UtilityVector([2, 7]), UtilityVector([7, 2])) is Ordering.EQUAL

@@ -516,6 +516,35 @@ def test_solver_on_a_square_matrix_starts_at_the_column_floor(n, top, monkeypatc
                       if matrix[i][j] >= min(row_floor, col_floor)}]
 
 
+@pytest.mark.parametrize("top", [9, 10 ** 6], ids=["narrow", "wide"])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_solver_on_a_square_matrix_whose_rows_all_peak_at_the_top(n, top, monkeypatch):
+    """Every row holds the top demand but column 0 does not, so the top
+    demands are not the first floor's one level: no lexicographic matching,
+    and one _assign call on the cells at or above the column floor."""
+    matrix, peak = square_floor_case(n, top, f"square top/{n}/{top}")
+    rng = random.Random(f"square top/{n}/{top}")
+    for row in matrix:
+        row[rng.randrange(1, n)] = top
+    assert set(map(max, matrix)) == {top}
+    assert min(map(max, zip(*matrix))) == max(row[0] for row in matrix) == peak < top
+    inst = max_atomic_instance(matrix)
+    calls = []
+    assign = fairdiv.solver._assign
+
+    def counted(costs, width):
+        calls.append({(i, j) for i, row in enumerate(costs) for j in row})
+        return assign(costs, width)
+
+    def forbidden(*args):
+        raise AssertionError("_lex_max_matching was called")
+
+    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
+    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", forbidden)
+    assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
+    assert calls == [{(i, j) for i in range(n) for j in range(n) if matrix[i][j] >= peak}]
+
+
 def leximin_pairs(inst):
     return tuple(sorted((i, j) for j, i in enumerate(solve_leximin(inst).owner) if i is not None))
 
@@ -629,6 +658,8 @@ def two_level_demands(draw):
 @example([[0], [2], [2]])                                       # a single column
 @example([[1, 0], [1, 0], [0, 0], [1, 1]])                      # n > m, two rows unmatched
 @example([[1, 0, 1], [1, 1, 0], [1, 1, 0], [1, 1, 0]])          # n > m, an unmatched row takes over
+@example([[1, 0], [1, 0]])                                      # every row peaks, a column does not
+@example([[1, 0], [1, 0], [1, 0]])                              # n > m, a column lacks the top
 @settings(max_examples=200, deadline=None)
 def test_solve_leximin_equals_the_emaxx_copy_on_two_levels(matrix):
     inst = max_atomic_instance(matrix)
