@@ -12,8 +12,10 @@ above it.
 Weights grow exponentially (they are exact big integers), so the matching is
 solved on Python ints by successive shortest augmenting paths with row and
 column potentials (the Jonker-Volgenant form of the Hungarian method) rather
-than by a floating point library routine.  Ties are broken by an exact
-perturbation built from bit shifts, which makes the optimum unique.
+than by a floating point library routine.  Among the optima the answer is
+the lexicographically smallest sorted pair list, read off the potentials:
+the optima are the maximum matchings of the cells they leave tight that
+cover every position of negative potential.
 
 The same domination lets ``solve_leximin`` weigh and match only the cells of
 the top demand levels, once they hold a maximum matching (see its docstring).
@@ -25,8 +27,8 @@ largest demand (on a square matrix, every column too, which the positions
 of that demand show), every admitted cell weighs the same, so only the
 tie-break can tell two maximum matchings apart: that instance is solved as
 the lexicographically smallest maximum matching, by alternating paths over
-the admitted cells alone, with no weights and no tie-break bits.  Column
-maxima are read only for a square matrix of more than one level.
+the admitted cells alone, with no weights.  Column maxima are read only for
+a square matrix of more than one level.
 """
 
 from __future__ import annotations
@@ -157,23 +159,25 @@ class Matching:
 _UNREACHED = float("inf")                # above every int, however large
 
 
-def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
+def _assign(costs: list[dict[int, int]], m: int) -> Optional[tuple[list[int], list[int], list[int]]]:
     """Minimum-cost assignment of every row to a distinct column, over the
-    cells present in the per-row ``{col: cost}`` maps; None when no such
-    assignment exists.
+    cells present in the per-row ``{col: cost}`` maps, with its potentials:
+    ``(col_of_row, u, v)``; None when no such assignment exists.
 
     Successive shortest augmenting paths, the Jonker-Volgenant form of the
     Kuhn-Munkres method: each new row runs Dijkstra over the reduced costs
     ``cost[i][j] - u[i] - v[j]``, which the row potentials ``u`` and column
     potentials ``v`` keep non-negative, relaxing only the cells of the rows
     it reaches.  The reached, unscanned columns wait in a heap of
-    ``(distance, column)`` entries; a column is pushed again only at a
-    strictly smaller distance, so an entry whose distance is no longer the
-    column's is stale and skipped.  A Dijkstra whose heap runs out before it
-    reaches a free column proves that no augmenting path exists.  The column
-    potentials are updated once per augmentation, over the scanned columns
-    only.  Pure Python ints, so the huge exact costs never lose precision.
-    Returns col_of_row.
+    ``(distance, matched, column)`` entries, so that at equal distance a free
+    column pops first; a column is pushed again only at a strictly smaller
+    distance, so an entry whose distance is no longer the column's is stale
+    and skipped.  A Dijkstra whose heap runs out before it reaches a free
+    column proves that no augmenting path exists.  The column potentials are
+    updated once per augmentation, over the scanned columns only, and only
+    ever fall: ``v`` stays at most 0, and 0 on every column left free.  The
+    reduced cost is 0 on the matched cells.  Pure Python ints, so the huge
+    exact costs never lose precision.
     """
     from heapq import heapify, heappop, heappush   # here, so loading the module imports nothing more
     n = len(costs)
@@ -184,16 +188,16 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
     for s in range(n):
         dist = [_UNREACHED] * m
         pred = [s] * m
-        frontier = []                       # (distance, column), reached, not yet scanned
+        frontier = []                       # (distance, matched, column), reached, not yet scanned
         for col, c in costs[s].items():
             dist[col] = d = c - v[col]      # u[s] is still 0
-            frontier.append((d, col))
+            frontier.append((d, row_of_col[col] >= 0, col))
         heapify(frontier)
         scanned = []
         while True:
             if not frontier:
                 return None
-            d, j = heappop(frontier)
+            d, _, j = heappop(frontier)
             if d != dist[j]:
                 continue
             scanned.append(j)
@@ -207,7 +211,7 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
                 d = base + c - v[col]
                 if d < dist[col]:
                     dist[col] = d
-                    heappush(frontier, (d, col))
+                    heappush(frontier, (d, row_of_col[col] >= 0, col))
                     pred[col] = i
         sink = dist[j]
         for col in scanned:
@@ -216,46 +220,41 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[list[int]]:
         for col in scanned:             # matched cells get reduced cost 0
             i = row_of_col[col]
             u[i] = costs[i][col] - v[col]
-    return col_of_row
-
-
-def _tie_break(n: int, m: int) -> tuple[int, int, int]:
-    """``(c, top, b)`` of the exact tie-break for an n x m weight matrix.
-
-    Row i matched to column j scores the base-C digit m - j (below C = 2**c)
-    at position n - i, so the digits of a matching's score spell out its pair
-    set, and maximizing the score picks exactly the lexicographically
-    smallest sorted pair set.  A cell pays the term top - score, which lies
-    in (0, top]; the at most min(n, m) matched cells pay less than S = 2**b
-    in total, so the true weights shifted up by S stay senior.  Every
-    maximum-cardinality matching then costs a different total, the optimum
-    is unique, and any exact solver returns it.
-    """
-    c = (max(n, m) + 2).bit_length()               # C > max(n, m) + 1
-    top = 1 << c * (n + 1)
-    return c, top, (min(n, m) * top).bit_length()  # S > min(n, m) * top
+    return col_of_row, u, v
 
 
 def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[list[int]]:
-    """The tie-broken matching of ``min_weight_max_matching`` on an n x m
-    matrix, as the row of each column (-1 if free), solved on the admitted
-    ``{position: weight}`` cells of each line that must be matched (rows if
-    n <= m, else columns); None when those cells hold no maximum matching."""
-    # cell (i, j) costs its weight shifted up by S = 2**b, plus its tie-break
-    # term top - (m - j) * C**(n - i), with C = 2**c; the term is below S, so
-    # OR-ing it in adds it
-    c, top, b = _tie_break(n, m)
+    """The matching of ``min_weight_max_matching`` on an n x m matrix, as the
+    row of each column (-1 if free), solved on the admitted ``{position:
+    weight}`` cells of each line that must be matched (rows if n <= m, else
+    columns), positions ascending; None when those cells hold no maximum
+    matching.
+
+    By complementary slackness, a maximum matching is optimal exactly when
+    its cells are tight under ``_assign``'s potentials (reduced cost 0) and
+    it covers every position whose potential is below 0.  Dummy lines after
+    the real ones, each admitting the positions of potential 0, make those
+    the perfect matchings of a square matrix; the dummies are interchangeable
+    and come last, so its lexicographically smallest perfect matching, which
+    ``_lex_max_matching`` finds, carries the smallest optimum.
+    """
+    matched = _assign(lines, k := max(n, m))
+    if matched is None:
+        return None
+    _, u, v = matched
+    spare = [x for x in range(k) if v[x] == 0]
     if n <= m:
-        costs = [{j: (w << b) | (top - ((m - j) << c * (n - i))) for j, w in line.items()}
-                 for i, line in enumerate(lines)]
-    else:                                          # assign columns to rows
-        costs = [{i: (w << b) | (top - ((m - j) << c * (n - i))) for i, w in line.items()}
-                 for j, line in enumerate(lines)]
-    matched = _assign(costs, max(n, m))
-    if matched is None or n > m:                   # n > m: the lines were the columns
-        return matched
-    row_of = dict(zip(matched, range(n)))          # n <= m: every row holds a column
-    return [row_of.get(j, -1) for j in range(m)]
+        adj = [[j for j, w in line.items() if w - u[i] == v[j]] for i, line in enumerate(lines)]
+        adj += [spare] * (m - n)
+    else:                                          # the lines were the columns
+        adj = [[] for _ in range(n)]
+        for j, line in enumerate(lines):
+            for i, w in line.items():
+                if w - u[j] == v[i]:
+                    adj[i].append(j)
+        for i in spare:
+            adj[i].extend(range(m, n))
+    return [i if i < n else -1 for i in _lex_max_matching(k, k, adj)[:m]]
 
 
 def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], sources: Iterable[int],
@@ -295,8 +294,8 @@ def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[
     """The lexicographically smallest sorted pair list among the matchings of
     size min(n, m) on the cells ``adj`` (each row's admitted columns,
     ascending), as the row of each column (-1 if free); None when the
-    cells hold no such matching.  That is the tie-broken optimum of
-    ``_match_lines`` when every admitted cell weighs the same.
+    cells hold no such matching.  This is the one tie-break rule: the
+    one-level path and ``_match_lines`` both end here.
 
     Each row first takes its smallest free column, in row order, and
     augmenting paths from the unmatched rows grow that to min(n, m): a
@@ -401,10 +400,9 @@ def solve_leximin(instance: Instance) -> Allocation:
     level's weight depends only on the levels above it, so weighing the
     admitted levels alone gives their cells their weights in the whole
     family, and each cell below D weighs more than the admitted total W.
-    With the tie-break terms (below S in total) an admitted maximum matching
-    costs less than (W + 1) * S, and a matching using a cell below D at least
-    that, so when the admitted cells hold a maximum matching their optimum is
-    the optimum.  A floor above some matched line's largest demand admits
+    An admitted maximum matching weighs at most W, and a matching using a
+    cell below D more than that, so when the admitted cells hold a maximum
+    matching their optima are the optima, and their smallest is the answer.  A floor above some matched line's largest demand admits
     none of that line's cells, so D starts at the smallest of the largest
     demands of the lines to be matched: the rows if n <= m, else the columns,
     and both on a square matrix, whose perfect matchings cover both.  While
@@ -415,7 +413,7 @@ def solve_leximin(instance: Instance) -> Allocation:
 
     When the first floor equals the largest demand, the admitted cells are
     one level and all weigh the same, so every admitted maximum matching
-    costs the same and the tie-break alone picks the optimum: the
+    weighs the same and the tie-break alone picks the optimum: the
     lexicographically smallest sorted pair list.  ``_lex_max_matching``
     finds it on the admitted cells directly; that is exact because the
     admitted optimum is the global optimum, as above.  If those cells hold

@@ -187,6 +187,7 @@ def test_check_pareto_budget_flag_forces_unknown(tmp_path, capsys):
     code, report, _ = run(capsys, ["check-pareto", path, "--budget", "1"])
     assert code == 2
     assert report["verdict"] == "unknown"
+    assert report["stats"]["nodes"] == 2         # the budget, plus the node that overran it
 
 
 DEEP = 1500      # resources: past Python's default recursion limit of 1000

@@ -29,7 +29,7 @@ from fairdiv import (
     utility_vector,
 )
 from fairdiv.model import ContractError
-from fairdiv.solver import _lex_max_matching, _match_lines, _tie_break
+from fairdiv.solver import _lex_max_matching
 
 demand_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -201,6 +201,10 @@ def test_lexicographic_tie_break():
     assert min_weight_max_matching([[1, 1], [1, 1], [1, 1]]).pairs == ((0, 0), (1, 1))
     # 2x3 mirror image
     assert min_weight_max_matching([[1, 1, 1], [1, 1, 1]]).pairs == ((0, 0), (1, 1))
+    # an optimum must cover each position of negative potential, column 2
+    # here and row 2 below: a padding line free to take it gives (0, 0), (1, 1)
+    assert min_weight_max_matching([[2, 2, 1], [3, 1, 0]]).pairs == ((0, 0), (1, 2))
+    assert min_weight_max_matching([[1, 3], [3, 2], [0, 1]]).pairs == ((0, 0), (2, 1))
 
 
 def brute_minimum_weight(rows):
@@ -409,20 +413,53 @@ def test_heap_frontier_finds_the_optimum_of_the_dict_scan(case):
     heap, scan = fairdiv.solver._assign(costs, m), scan_assign(costs, m)
     assert (heap is None) == (scan is None)
     if heap is not None:
-        assert sum(map(dict.__getitem__, costs, heap)) == sum(map(dict.__getitem__, costs, scan))
+        assert sum(map(dict.__getitem__, costs, heap[0])) == sum(map(dict.__getitem__, costs, scan))
 
 
 @given(sparse_costs(rows_within_width=True))
+@example((3, [{0: 10 ** 40, 1: 3 ** 90}, {0: 2 ** 130, 2: 1}]))
 @settings(max_examples=300, deadline=None)
-def test_heap_frontier_equals_the_dict_scan_on_tie_broken_costs(case):
-    """On the costs ``_match_lines`` builds the optimum is unique, so both
-    frontiers return the same assignment."""
-    m, weights = case
-    built = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fairdiv.solver, "_assign", lambda costs, width: built.append(costs))
-        fairdiv.solver._match_lines(len(weights), m, weights)
-    assert fairdiv.solver._assign(built[0], m) == scan_assign(built[0], m)
+def test_assign_potentials_prove_the_assignment_optimal(case):
+    """Complementary slackness: every reduced cost ``c - u[i] - v[j]`` is at
+    least 0, and 0 on the matched cells; every column potential is at most
+    0, and 0 on the columns left free."""
+    m, costs = case
+    assigned = fairdiv.solver._assign(costs, m)
+    if assigned is None:
+        return
+    col_of, u, v = assigned
+    assert all(c - u[i] - v[j] >= 0 for i, row in enumerate(costs) for j, c in row.items())
+    assert all(costs[i][j] - u[i] - v[j] == 0 for i, j in enumerate(col_of))
+    assert all(x <= 0 for x in v)
+    assert all(v[j] == 0 for j in set(range(m)) - set(col_of))
+
+
+def matcher_calls(monkeypatch):
+    """Record, in order, the matchings ``solve_leximin`` asks for: a
+    weighted one as ``("weighted", cells)``, ``cells`` the admitted
+    positions of each line, and a one-level one as ``("one-level", adj,
+    result)``.  The lexicographic pass that ends a weighted matching is part
+    of it, and is not recorded apart."""
+    calls, weighing = [], []
+    match, lex = fairdiv.solver._match_lines, fairdiv.solver._lex_max_matching
+
+    def weighted(n, m, lines):
+        calls.append(("weighted", [list(line) for line in lines]))
+        weighing.append(True)
+        try:
+            return match(n, m, lines)
+        finally:
+            weighing.pop()
+
+    def one_level(n, m, adj):
+        matched = lex(n, m, adj)
+        if not weighing:
+            calls.append(("one-level", adj, matched))
+        return matched
+
+    monkeypatch.setattr(fairdiv.solver, "_match_lines", weighted)
+    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", one_level)
+    return calls
 
 
 # demand matrices, n <= m, whose first admitted cells cannot hold a maximum
@@ -446,20 +483,11 @@ def test_solver_when_the_admitted_cells_must_grow(case, transposed, shape, monke
     if transposed:                   # a hot row, and the columns are the lines to match
         matrix = [list(col) for col in zip(*matrix)]
     inst = max_atomic_instance(matrix)
-    admitted = []
-    assign, lex = fairdiv.solver._assign, fairdiv.solver._lex_max_matching
-
-    def counted(costs, width):
-        admitted.append(sum(map(len, costs)))
-        return assign(costs, width)
-
-    def counted_lex(n, m, adj):     # every case here first admits its top level alone
-        admitted.append(sum(map(len, adj)))
-        return lex(n, m, adj)
-
-    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
-    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", counted_lex)
+    calls = matcher_calls(monkeypatch)
     owner = solve_leximin(inst).owner
+    # every case here first admits its top level alone, on the one-level path
+    assert [kind for kind, *_ in calls] == ["one-level"] + ["weighted"] * (len(calls) - 1)
+    admitted = [sum(map(len, cells)) for _, cells, *_ in calls]
     assert tuple(sorted((i, j) for j, i in enumerate(owner) if i is not None)) == \
         emaxx_matching(generate_weights(inst).weights)
     if shape == (4, 5):
@@ -520,8 +548,8 @@ def test_solver_on_a_square_matrix_starts_at_the_column_floor(n, top, monkeypatc
 @pytest.mark.parametrize("n", [2, 5, 30])
 def test_solver_on_a_square_matrix_whose_rows_all_peak_at_the_top(n, top, monkeypatch):
     """Every row holds the top demand but column 0 does not, so the top
-    demands are not the first floor's one level: no lexicographic matching,
-    and one _assign call on the cells at or above the column floor."""
+    demands are not the first floor's one level: no one-level matching, and
+    one weighted matching on the cells at or above the column floor."""
     matrix, peak = square_floor_case(n, top, f"square top/{n}/{top}")
     rng = random.Random(f"square top/{n}/{top}")
     for row in matrix:
@@ -529,20 +557,9 @@ def test_solver_on_a_square_matrix_whose_rows_all_peak_at_the_top(n, top, monkey
     assert set(map(max, matrix)) == {top}
     assert min(map(max, zip(*matrix))) == max(row[0] for row in matrix) == peak < top
     inst = max_atomic_instance(matrix)
-    calls = []
-    assign = fairdiv.solver._assign
-
-    def counted(costs, width):
-        calls.append({(i, j) for i, row in enumerate(costs) for j in row})
-        return assign(costs, width)
-
-    def forbidden(*args):
-        raise AssertionError("_lex_max_matching was called")
-
-    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
-    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", forbidden)
+    calls = matcher_calls(monkeypatch)
     assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
-    assert calls == [{(i, j) for i in range(n) for j in range(n) if matrix[i][j] >= peak}]
+    assert calls == [("weighted", [[j for j in range(n) if row[j] >= peak] for row in matrix])]
 
 
 def leximin_pairs(inst):
@@ -590,14 +607,13 @@ def test_solve_leximin_weighs_only_the_admitted_levels(monkeypatch):
     n, m = 20, 1000
     demands = random.Random(201000).sample(range(10 ** 9), n * m)
     inst = max_atomic_instance([demands[i * m:(i + 1) * m] for i in range(n)])
-    _, _, b = _tie_break(n, m)
     calls = []
     assign = fairdiv.solver._assign
 
     def counted(costs, width):
         admitted = sum(map(len, costs))
         calls.append(admitted)
-        assert all(cost.bit_length() <= b + admitted + 1 for row in costs for cost in row.values())
+        assert all(cost.bit_length() <= admitted + 1 for row in costs for cost in row.values())
         return assign(costs, width)
 
     monkeypatch.setattr(fairdiv.solver, "_assign", counted)
@@ -620,11 +636,19 @@ def admitted_cells(draw):
     return n, m, [[j for j, x in enumerate(row) if x < density] for row in cells]
 
 
-def unit_lines(n, m, adj):
-    """The cells of ``adj`` as the unit-weight lines ``_match_lines`` matches."""
-    if n <= m:
-        return [dict.fromkeys(cols, 1) for cols in adj]
-    return [{i: 1 for i, cols in enumerate(adj) if j in cols} for j in range(m)]
+def unit_weight_matching(n, m, adj):
+    """``_lex_max_matching`` by the e-maxx copy on 0/1 costs, 0 on the cells
+    of ``adj`` and 1 elsewhere: its optimum, as the row of each column, or
+    None when that optimum uses a 1."""
+    if not n or not m:
+        return [-1] * m
+    pairs = emaxx_matching([[0 if j in cols else 1 for j in range(m)] for cols in adj])
+    if any(j not in adj[i] for i, j in pairs):
+        return None
+    row_of = [-1] * m
+    for i, j in pairs:
+        row_of[j] = i
+    return row_of
 
 
 @given(admitted_cells())
@@ -635,7 +659,7 @@ def unit_lines(n, m, adj):
 @settings(max_examples=400, deadline=None)
 def test_lex_max_matching_equals_the_unit_weight_matching(case):
     n, m, adj = case
-    assert _lex_max_matching(n, m, adj) == _match_lines(n, m, unit_lines(n, m, adj))
+    assert _lex_max_matching(n, m, adj) == unit_weight_matching(n, m, adj)
 
 
 @st.composite
@@ -683,39 +707,13 @@ def test_solve_leximin_on_one_level_makes_no_weighted_matching(monkeypatch):
 
 def test_solve_leximin_retries_a_one_level_miss_on_the_weighted_matching(monkeypatch):
     """The hot column alone holds no maximum matching: the lexicographic
-    matching says so once, and the retry's cells go to ``_assign``."""
+    matching says so once, and the retry's cells go to the weighted matching."""
     n, m = 6, 20
     inst = max_atomic_instance(growth_case("hot column", n, m))
-    calls = []
-    assign, lex = fairdiv.solver._assign, fairdiv.solver._lex_max_matching
-
-    def counted(costs, width):
-        calls.append(("_assign", sorted((i, j) for i, row in enumerate(costs) for j in row)))
-        return assign(costs, width)
-
-    def counted_lex(n, m, adj):
-        calls.append(("_lex_max_matching", adj, matched := lex(n, m, adj)))
-        return matched
-
-    monkeypatch.setattr(fairdiv.solver, "_assign", counted)
-    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", counted_lex)
+    calls = matcher_calls(monkeypatch)
     assert leximin_pairs(inst) == emaxx_matching(generate_weights(inst).weights)
     # twice the 6 hot cells reach down to demand 0: the retry admits every cell
-    assert calls == [("_lex_max_matching", [[0]] * n, None),
-                     ("_assign", [(i, j) for i in range(n) for j in range(m)])]
-
-
-def test_tie_break_terms_lie_below_the_weight_shift():
-    for n in range(1, 65):
-        for m in range(1, 65):
-            c, top, b = _tie_break(n, m)
-            assert 1 << c > max(n, m) + 1
-            assert min(n, m) * top < 1 << b
-            # within a row the term grows with j, so its two ends bound it
-            for i in range(n):
-                for j in (0, m - 1):
-                    term = top - ((m - j) << c * (n - i))
-                    assert 0 < term <= top
+    assert calls == [("one-level", [[0]] * n, None), ("weighted", [list(range(m))] * n)]
 
 
 # ---------------------------------------------------------------------------
