@@ -159,10 +159,10 @@ class Matching:
 _UNREACHED = float("inf")                # above every int, however large
 
 
-def _assign(costs: list[dict[int, int]], m: int) -> Optional[tuple[list[int], list[int], list[int]]]:
+def _assign(costs: list[dict[int, int]], m: int) -> Optional[tuple[list[int], ...]]:
     """Minimum-cost assignment of every row to a distinct column, over the
     cells present in the per-row ``{col: cost}`` maps, with its potentials:
-    ``(col_of_row, u, v)``; None when no such assignment exists.
+    ``(col_of_row, row_of_col, u, v)``; None when no such assignment exists.
 
     Successive shortest augmenting paths, the Jonker-Volgenant form of the
     Kuhn-Munkres method: each new row runs Dijkstra over the reduced costs
@@ -220,136 +220,135 @@ def _assign(costs: list[dict[int, int]], m: int) -> Optional[tuple[list[int], li
         for col in scanned:             # matched cells get reduced cost 0
             i = row_of_col[col]
             u[i] = costs[i][col] - v[col]
-    return col_of_row, u, v
+    return col_of_row, row_of_col, u, v
 
 
 def _match_lines(n: int, m: int, lines: Sequence[dict[int, int]]) -> Optional[list[int]]:
     """The matching of ``min_weight_max_matching`` on an n x m matrix, as the
     row of each column (-1 if free), solved on the admitted ``{position:
     weight}`` cells of each line that must be matched (rows if n <= m, else
-    columns), positions ascending; None when those cells hold no maximum
-    matching.
-
+    columns), positions ascending; None when they hold no maximum matching.
     By complementary slackness, a maximum matching is optimal exactly when
     its cells are tight under ``_assign``'s potentials (reduced cost 0) and
-    it covers every position whose potential is below 0.  Dummy lines after
-    the real ones, each admitting the positions of potential 0, make those
-    the perfect matchings of a square matrix; the dummies are interchangeable
-    and come last, so its lexicographically smallest perfect matching, which
-    ``_lex_max_matching`` finds, carries the smallest optimum.
-    """
-    matched = _assign(lines, k := max(n, m))
-    if matched is None:
+    it covers every position of potential below 0, as ``_assign``'s own
+    does; ``_lex_max_matching`` finds the smallest such."""
+    if (matched := _assign(lines, max(n, m))) is None:
         return None
-    _, u, v = matched
-    spare = [x for x in range(k) if v[x] == 0]
+    pos_of, line_of, u, v = matched
     if n <= m:
         adj = [[j for j, w in line.items() if w - u[i] == v[j]] for i, line in enumerate(lines)]
-        adj += [spare] * (m - n)
-    else:                                          # the lines were the columns
-        adj = [[] for _ in range(n)]
-        for j, line in enumerate(lines):
-            for i, w in line.items():
-                if w - u[j] == v[i]:
-                    adj[i].append(j)
-        for i in spare:
-            adj[i].extend(range(m, n))
-    return [i if i < n else -1 for i in _lex_max_matching(k, k, adj)[:m]]
+        return _lex_max_matching(n, m, adj, (pos_of, line_of), [x == 0 for x in v])
+    adj = [[] for _ in range(n)]                   # the lines were the columns
+    for j, line in enumerate(lines):
+        for i, w in line.items():
+            if w - u[j] == v[i]:
+                adj[i].append(j)
+    return _lex_max_matching(n, m, adj, (line_of, pos_of), [x == 0 for x in v])
 
 
-def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], sources: Iterable[int],
-              first: int, via: dict[int, int]) -> int:
-    """Breadth-first search for an alternating path from the rows ``sources``:
-    a row takes a column it admits that is not yet in ``via``, and that
-    column's owner, if it is a row from ``first`` on, must take another in
-    turn.  Returns the first free column reached, or -1.  ``via`` maps each
-    column reached to the row that takes it, so after a failed search it
-    holds the columns whose owners cannot move either."""
-    queue = list(sources)
-    for r in queue:
-        for c in adj[r]:
+def _path_end(adj: Sequence[Sequence[int]], row_of: list[int], col_of: list[int], queue: list,
+              first: int, via: dict[int, int], loose: Optional[Sequence[bool]] = None) -> Optional[int]:
+    """Breadth-first search for an alternating path from ``queue``'s (row,
+    columns it may take) pairs: a row takes one of them not yet in ``via``,
+    and that column's owner, if it is a row from ``first`` on, must take
+    another it admits in turn.  Returns the free column where the path ends,
+    or None.  ``via`` maps each column reached to the row that takes it, so
+    after a failed search it holds the columns whose owners cannot move.
+
+    With ``loose`` (see ``_lex_max_matching``) the search runs as if dummy
+    lines after the real ones padded the matrix to square: a dummy row on
+    each free column, admitting the loose columns (n <= m), or a dummy
+    column on each unmatched row, admitted by the loose rows (n > m); the
+    first queued row's column is the only free one.  The dummies are alike,
+    so the first one reached stands for all: ``via[-1]`` is the column by
+    which the dummy row was reached, or the row that took a dummy column
+    (column -1, returned when the first row had none to leave).
+    """
+    n, m, cur = len(col_of), len(row_of), col_of[queue[0][0]]
+    anywhere = loose is None or (n <= m and loose[cur])   # cur may stay free
+    for r, cols in queue:
+        if loose is not None and n > m and r >= first and loose[r] and -1 not in via:
+            via[-1] = r                         # r drops out onto a dummy column
+            if cur < 0:
+                return -1
+            queue += [(o, adj[o]) for o in range(first, n) if col_of[o] < 0]
+        for c in cols:
             if c not in via:
                 via[c] = r
                 o = row_of[c]
-                if o < 0:
-                    return c
                 if o >= first:
-                    queue.append(o)
-    return -1
+                    queue.append((o, adj[o]))
+                elif o < 0:
+                    if c == cur or anywhere:
+                        return c
+                    if -1 not in via:           # the dummy row on c moves to a loose column
+                        via[-1] = c
+                        queue.append((-1, [x for x in range(m) if loose[x]]))
+    return None
 
 
 def _shift(col_of: list[int], row_of: list[int], via: Union[dict, list], c: int, last: int) -> None:
-    """Give each row on the path ``via`` that ends at column c the column it
-    takes, back to the row ``last`` or to a row that held none.  ``via`` is any
-    map from column to row: a dict in the lexicographic pass, ``pred`` in ``_assign``."""
+    """Give each row on the path ``via`` (``_path_end``'s, or ``_assign``'s
+    ``pred``) that ends at column c the column it takes, back to row ``last``."""
     while True:
         r = via[c]
-        row_of[c] = r
+        if r < 0:                               # the dummy row takes c, which goes free
+            row_of[c], c = -1, via[-1]
+            continue
+        if c >= 0:
+            row_of[c] = r
         col_of[r], c = c, col_of[r]
-        if c < 0 or r == last:
+        if r == last:
             return
 
 
-def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]]) -> Optional[list[int]]:
+def _lex_max_matching(n: int, m: int, adj: Sequence[Sequence[int]], start: Optional[tuple] = None,
+                      loose: Optional[Sequence[bool]] = None) -> Optional[list[int]]:
     """The lexicographically smallest sorted pair list among the matchings of
     size min(n, m) on the cells ``adj`` (each row's admitted columns,
-    ascending), as the row of each column (-1 if free); None when the
-    cells hold no such matching.  This is the one tie-break rule: the
+    ascending), as the row of each column (-1 if free); None when the cells
+    hold none.  From a ``start`` ``(col_of, row_of)``, the smallest of those
+    that leave free only the columns (n <= m) or rows (n > m) marked
+    ``loose``, as ``start`` does.  This is the one tie-break rule: the
     one-level path and ``_match_lines`` both end here.
 
-    Each row first takes its smallest free column, in row order, and
-    augmenting paths from the unmatched rows grow that to min(n, m): a
-    matching is maximum exactly when none is left (Berge).  Then the rows are
-    decided in order, the matching kept maximum: row i takes the first
-    column j it admits below its own (any, if it has none) whose owner k, a
-    later row, can move on along an alternating path over the later rows to
-    a free column or the one i leaves.  When n > m, k may instead drop out
-    if such a path from an unmatched later row re-covers the column i
-    leaves.  A row that a failed search reached cannot reach a free column in
-    the next search either, so the searches for one row visit each cell once.
+    With no start, each row takes its smallest free column, in row order,
+    and augmenting paths from the unmatched rows grow that to min(n, m)
+    (Berge).  Then the rows are decided in order: row i takes the first
+    column j it admits below its own (any, if it has none) from which
+    ``_path_end`` finds a path over the later rows.  A row that a failed
+    search reached cannot reach a free column in the next one either, so
+    the searches for one row visit each cell once.
     """
-    col_of = [-1] * n
-    row_of = [-1] * m
-    for i, cols in enumerate(adj):
-        for j in cols:
-            if row_of[j] < 0:
-                row_of[j], col_of[i] = i, j
-                break
-    size, want = n - col_of.count(-1), min(n, m)
-    for s in range(n):
-        if size == want:
-            break
-        if col_of[s] < 0 and (end := _path_end(adj, row_of, (s,), 0, via := {})) >= 0:
-            _shift(col_of, row_of, via, end, s)
-            size += 1
-    if size < want:
-        return None
+    if start is None:
+        col_of, row_of = [-1] * n, [-1] * m
+        for i, cols in enumerate(adj):
+            for j in cols:
+                if row_of[j] < 0:
+                    row_of[j], col_of[i] = i, j
+                    break
+        size, want = n - col_of.count(-1), min(n, m)
+        for s in range(n):
+            if size < want and col_of[s] < 0:
+                if (end := _path_end(adj, row_of, col_of, [(s, adj[s])], 0, via := {})) is not None:
+                    _shift(col_of, row_of, via, end, s)
+                    size += 1
+        if size < want:
+            return None
+        start, loose = (col_of, row_of), [True] * max(n, m)
+    col_of, row_of = start
     for i in range(n):
-        cur, via, spare = col_of[i], {}, None
+        cur, via = col_of[i], {}
         if cur >= 0:
             row_of[cur] = -1                    # free while i looks for a smaller column
         for j in adj[i]:
             if j == cur:
                 break
-            k = row_of[j]
-            if 0 <= k < i or j in via:          # held by a decided row, or by one that cannot move
+            if 0 <= row_of[j] < i or j in via:  # held by a decided row, or by one that cannot move
                 continue
-            if k >= 0 and cur >= 0:
-                if spare is None:               # can k drop out and an unmatched row re-cover cur?
-                    spare = -1 if n <= m else _path_end(
-                        adj, row_of, [r for r in range(i + 1, n) if col_of[r] < 0], i + 1, via)
-                end = spare
-                if end < 0:
-                    if j in via:
-                        continue
-                    via[j] = i
-                    if (end := _path_end(adj, row_of, (k,), i + 1, via)) < 0:
-                        continue
-                _shift(col_of, row_of, via, end, k)
-            row_of[j], col_of[i] = i, j
-            if k >= 0 and col_of[k] == j:       # k drops out (n > m)
-                col_of[k] = -1
-            break
+            if (end := _path_end(adj, row_of, col_of, [(i, (j,))], i + 1, via, loose)) is not None:
+                _shift(col_of, row_of, via, end, i)
+                break
         if cur >= 0 and col_of[i] == cur:
             row_of[cur] = i
     return row_of
@@ -402,13 +401,14 @@ def solve_leximin(instance: Instance) -> Allocation:
     family, and each cell below D weighs more than the admitted total W.
     An admitted maximum matching weighs at most W, and a matching using a
     cell below D more than that, so when the admitted cells hold a maximum
-    matching their optima are the optima, and their smallest is the answer.  A floor above some matched line's largest demand admits
-    none of that line's cells, so D starts at the smallest of the largest
-    demands of the lines to be matched: the rows if n <= m, else the columns,
-    and both on a square matrix, whose perfect matchings cover both.  While
-    the admitted cells hold no maximum matching, D falls to the first lower
-    level admitting at least 2k cells (k the cells admitted), or all: that is
-    the 2k-th largest demand, read off the demands ranked once at the first
+    matching their optima are the optima, and their smallest is the answer.
+    A floor above some matched line's largest demand admits none of that
+    line's cells, so D starts at the smallest of the largest demands of the
+    lines to be matched: the rows if n <= m, else the columns, and both on a
+    square matrix, whose perfect matchings cover both.  While the admitted
+    cells hold no maximum matching, D falls to the first lower level
+    admitting at least 2k cells (k the cells admitted), or all: that is the
+    2k-th largest demand, read off the demands ranked once at the first
     retry.
 
     When the first floor equals the largest demand, the admitted cells are
@@ -419,7 +419,8 @@ def solve_leximin(instance: Instance) -> Allocation:
     admitted optimum is the global optimum, as above.  If those cells hold
     no maximum matching, the retry's floor lies below the top level and the
     weighted matching answers.  The one-level test reads the line maxima and
-    the top demand's positions, and column maxima only on a square multi-level matrix.
+    the top demand's positions, and column maxima only on a square
+    multi-level matrix.
     """
     if not isinstance(instance.utilities, MaxAtomic):
         raise WrongUtilityKind("weight generation needs max-atomic demands")

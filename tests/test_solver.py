@@ -202,9 +202,15 @@ def test_lexicographic_tie_break():
     # 2x3 mirror image
     assert min_weight_max_matching([[1, 1, 1], [1, 1, 1]]).pairs == ((0, 0), (1, 1))
     # an optimum must cover each position of negative potential, column 2
-    # here and row 2 below: a padding line free to take it gives (0, 0), (1, 1)
+    # here and row 2 below: leaving it free would give (0, 0), (1, 1)
     assert min_weight_max_matching([[2, 2, 1], [3, 1, 0]]).pairs == ((0, 0), (1, 2))
     assert min_weight_max_matching([[1, 3], [3, 2], [0, 1]]).pairs == ((0, 0), (2, 1))
+    # row 0 leaves column 2 (negative potential) for the free column 1 only
+    # because row 1 leaves column 0, which may go free, to re-cover it
+    assert min_weight_max_matching([[2, 1, 0], [1, 1, 0]]).pairs == ((0, 1), (1, 2))
+    # row 0 takes column 0 from row 1, which drops out, only because the
+    # unmatched row 2 re-covers column 1
+    assert min_weight_max_matching([[0, 0], [1, 2], [1, 1]]).pairs == ((0, 0), (2, 1))
 
 
 def brute_minimum_weight(rows):
@@ -427,7 +433,7 @@ def test_assign_potentials_prove_the_assignment_optimal(case):
     assigned = fairdiv.solver._assign(costs, m)
     if assigned is None:
         return
-    col_of, u, v = assigned
+    col_of, _, u, v = assigned
     assert all(c - u[i] - v[j] >= 0 for i, row in enumerate(costs) for j, c in row.items())
     assert all(costs[i][j] - u[i] - v[j] == 0 for i, j in enumerate(col_of))
     assert all(x <= 0 for x in v)
@@ -451,8 +457,8 @@ def matcher_calls(monkeypatch):
         finally:
             weighing.pop()
 
-    def one_level(n, m, adj):
-        matched = lex(n, m, adj)
+    def one_level(n, m, adj, *start):
+        matched = lex(n, m, adj, *start)
         if not weighing:
             calls.append(("one-level", adj, matched))
         return matched
@@ -620,6 +626,46 @@ def test_solve_leximin_weighs_only_the_admitted_levels(monkeypatch):
     assert sum(who is not None for who in solve_leximin(inst).owner) == n
     assert calls and calls[-1] < n * m
 
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "demands 0-3"])
+@pytest.mark.parametrize("shape", [(3000, 3), (3, 3000)], ids=["tall", "wide"])
+def test_weighted_matching_of_a_long_thin_matrix_adds_no_lines(shape, ties, monkeypatch):
+    """The lexicographic pass of each weighted matching runs on the
+    instance's own shape and tight cells, and its searches read no more
+    cells than the matrix holds; dummy lines built as lists to pad it to
+    square would hold millions of cells here."""
+    n, m = shape
+    rng = random.Random(f"thin/{n}x{m}/{ties}")
+    if ties:
+        matrix = [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        matrix[0][0] = 4                            # the lines' largest demands differ
+    else:
+        demands = rng.sample(range(10 ** 6), n * m)
+        matrix = [demands[i * m:(i + 1) * m] for i in range(n)]
+    passes, reads = [], []
+    lex, path_end = fairdiv.solver._lex_max_matching, fairdiv.solver._path_end
+
+    def recorded(rows, cols, adj, *start):
+        passes.append((rows, cols, sum(map(len, adj)), bool(start)))
+        return lex(rows, cols, adj, *start)
+
+    class Reads(list):
+        """Counts the cells (a row's columns) or flags its indexing hands out."""
+        def __getitem__(self, k):
+            got = list.__getitem__(self, k)
+            reads.append(len(got) if isinstance(got, list) else 1)
+            return got
+
+    def counted(adj, row_of, col_of, queue, first, via, loose=None):
+        return path_end(Reads(adj), row_of, col_of, queue, first, via, loose and Reads(loose))
+
+    monkeypatch.setattr(fairdiv.solver, "_lex_max_matching", recorded)
+    monkeypatch.setattr(fairdiv.solver, "_path_end", counted)
+    assert sum(who is not None for who in solve_leximin(max_atomic_instance(matrix)).owner) == min(n, m)
+    assert passes and all(rows == n and cols == m and cells <= n * m and weighted
+                          for rows, cols, cells, weighted in passes)
+    assert sum(reads) <= n * m
 
 # ---------------------------------------------------------------------------
 # the one-level path: every admitted cell on the top demand level
