@@ -161,27 +161,24 @@ def _int_or_oversized(digits: str) -> Union[int, _OversizedInt]:
         return _OversizedInt(digits)
 
 
-def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
-    """Parse a JSON instance document (text or an already-decoded mapping).
+def parse_instance(document: str) -> InstanceDocument:
+    """Parse the text of a JSON instance document.
 
     Raises FormatError naming the offending path on any malformed content:
     bad rationals (floats included), shape mismatches, unknown ids, negative
-    demands in a max-atomic matrix, and unrecognized fields.
+    demands in a max-atomic matrix, malformed roles, and unrecognized fields.
     """
-    if isinstance(document, str):
+    try:
         try:
-            try:
-                data = json.loads(document)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"document is not valid JSON: {e}") from None
-            except ValueError:
-                # an integer past int()'s digit limit; decode again keeping it as a
-                # marker, which the checks below reject by its path
-                data = json.loads(document, parse_int=_int_or_oversized)
-        except RecursionError:
-            raise FormatError("document is nested too deeply to decode") from None
-    else:
-        data = document
+            data = json.loads(document)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"document is not valid JSON: {e}") from None
+        except ValueError:
+            # an integer past int()'s digit limit; decode again keeping it as a
+            # marker, which the checks below reject by its path
+            data = json.loads(document, parse_int=_int_or_oversized)
+    except RecursionError:
+        raise FormatError("document is nested too deeply to decode") from None
     if not isinstance(data, Mapping):
         raise FormatError("document: expected a JSON object")
     unknown = set(data) - _DOCUMENT_KEYS
@@ -195,18 +192,20 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
         raise FormatError(f"document.kind: expected {expected}, got {kind!r}")
     agents = _expect(data, "agents", list, "document")
     resources = _expect(data, "resources", list, "document")
+    indexes = []                                      # id -> position, per side
     for label, ids in (("agents", agents), ("resources", resources)):
         for i, x in enumerate(ids):
             if not isinstance(x, str) or not x:
                 raise FormatError(f"document.{label}[{i}]: ids are non-empty strings")
-        if len(set(ids)) != len(ids):
+        indexes.append({x: i for i, x in enumerate(ids)})
+        if len(indexes[-1]) != len(ids):
             raise FormatError(f"document.{label}: duplicate id")
+    agent_index, resource_index = indexes
     matrix_data = _expect(data, "matrix", list, "document")
     if len(matrix_data) != len(agents):
         raise FormatError(f"document.matrix: {len(matrix_data)} rows for {len(agents)} agents")
-    # decoded text holds no Fraction, which the model takes and a document does not, so
     # rows that are lists go to the model as they are: it checks their shape and each cell once
-    fits = isinstance(document, str) and all(isinstance(row, list) for row in matrix_data)
+    fits = all(isinstance(row, list) for row in matrix_data)
     try:
         instance = Instance(agents, resources, model(matrix_data)) if fits else None
     except ContractError:
@@ -233,8 +232,6 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
     allocation = None
     if "allocation" in data:
         alloc_data = _expect(data, "allocation", Mapping, "document")
-        agent_index = {aid: i for i, aid in enumerate(agents)}
-        resource_index = {rid: j for j, rid in enumerate(resources)}
         owner: list[Optional[int]] = [None] * len(resources)
         for rid, aid in alloc_data.items():
             if rid not in resource_index:
@@ -255,23 +252,11 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
         unknown = set(roles) - {"agents", "resources", "links"}
         if unknown:
             raise FormatError(f"document.roles: unknown field {sorted(unknown)[0]!r}")
-        agent_roles = roles.get("agents", {})
-        resource_roles = roles.get("resources", {})
         links = roles.get("links", {})
-        for section, mapping_data, known in (("agents", agent_roles, set(agents)),
-                                             ("resources", resource_roles, set(resources))):
-            if not isinstance(mapping_data, Mapping):
-                raise FormatError(f"document.roles.{section}: expected an object")
-            for key, role in mapping_data.items():
-                if key not in known:
-                    raise FormatError(f"document.roles.{section}: unknown id {key!r}")
-                if not isinstance(role, str):
-                    raise FormatError(f"document.roles.{section}[{key!r}]: roles are strings")
         if not isinstance(links, Mapping):
             raise FormatError("document.roles.links: expected an object")
-        ids = set(agents) | set(resources)
         for key, link in links.items():
-            if key not in ids:
+            if key not in agent_index and key not in resource_index:
                 raise FormatError(f"document.roles.links: unknown id {key!r}")
             if not isinstance(link, Mapping):
                 raise FormatError(f"document.roles.links[{key!r}]: expected an object")
@@ -280,10 +265,22 @@ def parse_instance(document: Union[str, Mapping]) -> InstanceDocument:
                     raise FormatError(f"document.roles.links[{key!r}]: unknown field {field!r}")
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise FormatError(f"document.roles.links[{key!r}].{field}: expected an int")
-        try:
-            mapping = ReductionMap.from_serialized(agent_roles, resource_roles, links, instance)
-        except ContractError as e:
-            raise FormatError(f"document.roles: {e}") from None
+        # links on ids without a role stay in the map, as a document may carry them
+        mapping = ReductionMap({}, {}, {k: dict(v) for k, v in links.items()}, {}, {})
+        for side, section, index in (("agent", "agents", agent_index),
+                                     ("resource", "resources", resource_index)):
+            section_data = roles.get(section, {})
+            if not isinstance(section_data, Mapping):
+                raise FormatError(f"document.roles.{section}: expected an object")
+            for key, role in section_data.items():
+                if key not in index:
+                    raise FormatError(f"document.roles.{section}: unknown id {key!r}")
+                if not isinstance(role, str):
+                    raise FormatError(f"document.roles.{section}[{key!r}]: roles are strings")
+                try:
+                    mapping.add(side, key, role, mapping.links.get(key, {}), index[key])
+                except ContractError as e:
+                    raise FormatError(f"document.roles: {e}") from None
 
     return InstanceDocument(instance, allocation, mapping)
 
@@ -387,9 +384,6 @@ def parse_ae_dimacs(text: str) -> AEFormula:
     'a <vars> 0' line, then exactly one 'e <vars> 0' line, then clauses.
     Every variable must be quantified exactly once."""
     num_vars, clauses, blocks = _read_dimacs(text, quantified=True)
-    overlap = set(blocks["a"]) & set(blocks["e"])
-    if overlap:
-        raise FormatError(f"variable {min(overlap)} quantified in both blocks")
     try:
         return AEFormula(num_vars, blocks["a"], blocks["e"], clauses)
     except ContractError as e:

@@ -84,7 +84,7 @@ class AEFormula:
                 raise ContractError(f"quantified variable {v!r} out of range 1..{num_vars}")
         overlap = set(fa) & set(ex)
         if overlap:
-            raise ContractError(f"variables quantified twice: {sorted(overlap)}")
+            raise ContractError(f"variable {min(overlap)} quantified in both blocks")
         missing = set(range(1, num_vars + 1)) - set(fa) - set(ex)
         if missing:
             raise ContractError(f"variables not quantified: {sorted(missing)}")

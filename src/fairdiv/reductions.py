@@ -29,8 +29,8 @@ directions are certified in tests without any search.
 Every agent and resource of a gadget carries a role and a link (the clause,
 literal or variable it stands for).  ``ROLES`` is the one place where roles
 are defined: it gives each role the tag and link fields of its structured
-key, and both the gadget builder and ``ReductionMap.from_serialized`` derive
-keys from it.
+key.  The gadget builder and the document parser (``formats.parse_instance``)
+both index an id through ``ReductionMap.add``, which derives its key from it.
 """
 
 from __future__ import annotations
@@ -131,17 +131,6 @@ class ReductionMap:
         roles[xid] = role
         if link:
             self.links[xid] = link
-
-    @classmethod
-    def from_serialized(cls, agent_roles: Mapping[str, str], resource_roles: Mapping[str, str],
-                        links: Mapping[str, Mapping], instance: Instance) -> "ReductionMap":
-        mapping = cls({}, {}, {k: dict(v) for k, v in links.items()}, {}, {})
-        for side, ids, roles in (("agent", instance.agents, agent_roles),
-                                 ("resource", instance.resources, resource_roles)):
-            for idx, xid in enumerate(ids):
-                if xid in roles:
-                    mapping.add(side, xid, roles[xid], mapping.links.get(xid, {}), idx)
-        return mapping
 
 
 class _GadgetBuilder:

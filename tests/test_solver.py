@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -50,12 +51,12 @@ def rational_document(matrix, factor=1):
     """A max-atomic document whose cells are written "p/q", both terms
     multiplied by ``factor``."""
     n, m = len(matrix), len(matrix[0])
-    return parse_instance({
+    return parse_instance(json.dumps({
         "kind": "max-atomic",
         "agents": [f"a{i}" for i in range(n)],
         "resources": [f"o{j}" for j in range(m)],
         "matrix": [[f"{p * factor}/{q * factor}" for p, q in row] for row in matrix],
-    }).instance
+    })).instance
 
 
 # ---------------------------------------------------------------------------
