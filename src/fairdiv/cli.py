@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import operator
 import sys
 import time
 from typing import Optional, Sequence
@@ -23,13 +21,14 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
                       parse_instance, rational_from_text, rational_to_json,
                       report_to_json, serialize_instance, sha256_digest,
                       utilities_to_json)
-from .model import ContractError, UtilityVector, dominates, find_envy, utility_vector
+from .model import (ContractError, UtilityVector, bundles_of, dominates,
+                    envy_in_family, find_envy, utility_vector)
 from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
                       find_dominating_allocation, is_pareto_optimal,
                       sat_on_partial)
 from .reductions import (augment_both_polarities, construct_improvement_eef,
                          construct_improvement_po, reduce_3cnf_to_po,
-                         reduce_ae3cnf_to_eef, x_forall_allocation_family)
+                         reduce_ae3cnf_to_eef, x_forall_template_patches)
 from .solver import beats_threshold, solve_leximin
 
 
@@ -184,28 +183,28 @@ def _verify_eef(args, text: str):
     family_has_eef = False
     sound = True
     unknown = False
-    # the family yields its templates grouped by forall assignment, in order
-    family = x_forall_allocation_family(reduction, all_flags=args.all_flags)
-    for s, group in itertools.groupby(family, key=operator.itemgetter(0)):
-        templates = [alloc for _, alloc in group]
-        envy_free = all(find_envy(reduction.instance, t) is None for t in templates)
+    utilities = reduction.instance.utilities
+    n = reduction.instance.num_agents
+    # per forall assignment, its 2^F templates: the default and any subset of its F flag patches
+    for s, template, patches in x_forall_template_patches(reduction, all_flags=args.all_flags):
+        envy_free = envy_in_family(utilities, bundles_of(template.owner, n), patches) is None
         sound = sound and envy_free
         sat = sat_on_partial(cnf, s)
         sat_nodes += sat.nodes
         entry = {
             "s": {f"x{v}": value for v, value in s.values},
-            "templates_checked": len(templates),
+            "templates_checked": 2 ** len(patches),
             "templates_envy_free": envy_free,
             "satisfiable_over_exists": sat.is_yes,
         }
         if sat.is_yes:
-            improvement = construct_improvement_eef(reduction, templates[0], sat.witness)
+            improvement = construct_improvement_eef(reduction, template, sat.witness)
             entry["improvement_construction_checked"] = dominates(
-                reduction.instance, improvement, templates[0])
+                reduction.instance, improvement, template)
             sound = sound and entry["improvement_construction_checked"]
             entry["template_efficient"] = False
         else:
-            certified = find_dominating_allocation(reduction.instance, templates[0], budget)
+            certified = find_dominating_allocation(reduction.instance, template, budget)
             dominance_nodes += certified.nodes
             if certified.is_unknown:
                 unknown = True

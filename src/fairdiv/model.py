@@ -13,6 +13,7 @@ are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -335,6 +336,37 @@ def envy_in_rows(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> Op
         for j, v in enumerate(values):
             if v > own and j != i:
                 return (i, j)
+    return None
+
+
+def envy_in_family(utilities: UtilitySpec, bundles: Sequence[Sequence[int]],
+                   patches: Sequence[Sequence[tuple[int, int, int]]]) -> Optional[tuple[int, int]]:
+    """``envy_in_rows`` over a family of allocations at once: ``bundles``
+    with any subset of ``patches`` applied, each patch a list of
+    ``(resource, from agent, to agent)`` moves, no resource in two patches.
+    Returns the first pair (i, k) such that i envies k in some member of the
+    family, or None if every member is envy-free.
+
+    Utilities must be additive.  Then each applied patch f adds its own term
+    Δ_f(i, k) to i's envy of k, so i's largest envy of k over the family is
+    its envy under ``bundles`` plus every positive Δ_f(i, k): O(n²·F)
+    additions for the 2^F members."""
+    if not isinstance(utilities, Additive):
+        raise WrongUtilityKind("the envy of a template family is in closed form only for additive utilities")
+    for i, row in enumerate(utilities.rows):
+        price = row.__getitem__
+        values = [sum(map(price, bundle)) for bundle in bundles]
+        own = values[i]
+        for moves in patches:
+            delta = defaultdict(int)             # the patch's change to i's value of each bundle
+            for j, a, b in moves:
+                delta[a] -= row[j]
+                delta[b] += row[j]
+            mine = delta[i]
+            values = [v + max(0, delta.get(k, 0) - mine) for k, v in enumerate(values)]
+        for k, v in enumerate(values):
+            if v > own and k != i:
+                return (i, k)
     return None
 
 

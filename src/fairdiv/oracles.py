@@ -155,6 +155,10 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     Pruning: ``gap[i]`` = current utility + best-case remaining gain - base.
     A placement is feasible only if it keeps every gap non-negative, and a
     branch dies as soon as no agent can end strictly above its baseline.
+    It also dies when the welfare bound fails: a dominator's utilities sum
+    to at least sum(base) + 1, and a node can reach at most the takers'
+    cells of its placed columns plus ``colmax[j]``, the largest cell, of
+    each unplaced one; ``slack`` is that bound less sum(base) + 1.
 
     Branching: an agent i with a positive cell c in column j is a violator
     of j while ``gap[i] < c``, since i cannot afford to lose j.  So the
@@ -173,6 +177,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
       how many of them it can still afford (coefficient <= ``gap[i]``);
     - ``viol[j]``, the violator count of each column;
     - ``positive``, the number of agents whose gap is above 0;
+    - ``slack``, the welfare bound's margin;
     - ``crit``, the unplaced critical columns.
 
     ``order``, the columns with a positive cell sorted by their number of
@@ -194,15 +199,18 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
         for k in ks[t:]:
             viol[k] += 1
     positive = sum(g > 0 for g in gap)
+    colmax = [max((c for _, c in column), default=0) for column in pos]
+    slack = sum(colmax) - sum(base) - 1
     crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
     order = sorted((j for j in range(m) if size[j]), key=size.__getitem__)
     owner: list[Optional[int]] = [None] * m
 
-    def drain(column: list[tuple[int, int]], taker: int) -> None:
-        """Place ``column`` on ``taker``: every other positive agent loses its cell."""
-        nonlocal positive
-        for i, c in column:
+    def drain(j: int, taker: int) -> None:
+        """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
+        nonlocal positive, slack
+        for i, c in pos[j]:
             if i == taker:
+                slack += c - colmax[j]
                 continue
             old = gap[i]
             new = gap[i] = old - c
@@ -217,11 +225,12 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                     if owner[k] is None:         # k is unplaced
                         crit.add(k)
 
-    def refill(column: list[tuple[int, int]], taker: int) -> None:
-        """Take back the placement of ``column`` on ``taker``."""
-        nonlocal positive
-        for i, c in column:
+    def refill(j: int, taker: int) -> None:
+        """Take back the placement of column ``j`` on ``taker``."""
+        nonlocal positive, slack
+        for i, c in pos[j]:
             if i == taker:
+                slack -= c - colmax[j]
                 continue
             old = gap[i]
             new = gap[i] = old + c
@@ -241,7 +250,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     stack: list[tuple[int, Iterator[int]]] = []
     while True:
         counter.spend()                          # a node: the placements on the stack
-        if positive:                             # else nobody can still beat baseline
+        if positive and slack >= 0:              # else nobody, or not the sum, can still beat baseline
             if len(stack) == len(order):         # the stack holds every placed column
                 return list(owner)
             if crit:                             # dead, or its one violator or positive agent
@@ -259,10 +268,10 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
         while stack:
             j, untried = stack[-1]
             if owner[j] is not None:             # take back the placement tried last
-                refill(pos[j], owner[j])
+                refill(j, owner[j])
             owner[j] = next(untried, None)
             if owner[j] is not None:
-                drain(pos[j], owner[j])
+                drain(j, owner[j])
                 break
             stack.pop()
             if viol[j] or size[j] == 1:

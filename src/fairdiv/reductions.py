@@ -16,7 +16,8 @@ Two constructions live here, both producing additive instances.
   each is always envy-free, and it is Pareto-optimal exactly when the clauses
   are *unsatisfiable* over the exists block given ``s``.  That function is
   the only place the layout is written; ``construct_improvement_eef``
-  recognises a template by rebuilding it from ``s`` and its flags.  Helper and
+  recognises a template by rebuilding it from ``s`` and its flags, and
+  ``x_forall_template_patches`` reads each flag's moves off it.  Helper and
   envy-protection agents, compensation resources, and two envy anchor
   resources keep every other corner of the allocation space either envious
   or dominated.
@@ -525,7 +526,10 @@ def build_x_forall_allocation(reduction: EefReduction, s: PartialAssignment,
     owner[mapping.resource("envy1")] = mapping.agent("unassigned")
     owner[mapping.resource("envy2")] = mapping.agent("unassigned_ep")
 
-    assert all(o is not None for o in owner)
+    # checked, not asserted (-O drops asserts): each flag's patch is a diff of two templates
+    if None in owner:
+        raise AssertionError(f"internal error: the template leaves resource "
+                             f"{reduction.instance.resources[owner.index(None)]!r} unowned")
     return Allocation(owner)
 
 
@@ -538,7 +542,10 @@ def x_forall_assignments(formula: AEFormula) -> Iterator[PartialAssignment]:
 def x_forall_allocation_family(reduction: EefReduction,
                                all_flags: bool = False) -> Iterator[tuple[PartialAssignment, Allocation]]:
     """The template allocations, one per forall assignment (default flags),
-    or every flag combination when ``all_flags`` is set."""
+    or every flag combination when ``all_flags`` is set: 2^F templates for
+    the F flags of each assignment.  The command line checks the family in
+    closed form (``x_forall_template_patches``); this walk is the reference
+    the tests hold that check to."""
     formula = reduction.formula
     flagged_vars = formula.forall_vars if all_flags else ()
     for s in x_forall_assignments(formula):
@@ -548,6 +555,37 @@ def x_forall_allocation_family(reduction: EefReduction,
             for lit_bits in itertools.product((False, True), repeat=len(false_occ)):
                 lit_choice = dict(zip(false_occ, lit_bits))
                 yield s, build_x_forall_allocation(reduction, s, var_choice, lit_choice)
+
+
+def x_forall_template_patches(
+        reduction: EefReduction, all_flags: bool = False,
+) -> Iterator[tuple[PartialAssignment, Allocation, list[list[tuple[int, int, int]]]]]:
+    """Per forall assignment ``s``, in the family's order: ``s``, its default
+    template, and the patch of each flag (none unless ``all_flags`` is set).
+
+    A patch is the ``(resource, from agent, to agent)`` moves by which the
+    template with that one flag set differs from the default, found by
+    rebuilding it.  No two patches of ``s`` may move the same resource, so
+    the 2^F templates of ``s`` are the default with any subset of its F
+    patches applied; an overlap is an internal error."""
+    formula = reduction.formula
+    for s in x_forall_assignments(formula):
+        default = build_x_forall_allocation(reduction, s)
+        flags = []                     # (var_choice, lit_choice) setting one flag each
+        if all_flags:
+            flags = [({v: True}, None) for v in formula.forall_vars] + [
+                (None, {key: True}) for key in _false_occurrences(formula, s.as_dict())]
+        patches = []
+        moved: set[int] = set()
+        for var_choice, lit_choice in flags:
+            flagged = build_x_forall_allocation(reduction, s, var_choice, lit_choice)
+            moves = [(j, a, b) for j, (a, b) in enumerate(zip(default.owner, flagged.owner)) if a != b]
+            resources = {j for j, _, _ in moves}
+            if resources & moved:
+                raise AssertionError("internal error: two flags of one template move the same resource")
+            moved |= resources
+            patches.append(moves)
+        yield s, default, patches
 
 
 def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,14 +205,32 @@ def test_check_pareto_on_a_forced_chain_deeper_than_the_recursion_limit(tmp_path
     assert report["stats"]["nodes"] == DEEP + 1
 
 
-def test_check_pareto_on_alternating_owners_runs_out_its_budget(tmp_path, capsys):
-    # both agents value everything at 1 and the owners alternate: the search
-    # goes 1500 placements deep at once and then backtracks without end
+def test_check_pareto_decides_alternating_owners_by_the_welfare_bound(tmp_path, capsys):
+    # both agents value everything at 1 and the owners alternate: every
+    # placement drains the other agent, and without the welfare bound the
+    # search went 1500 placements deep and backtracked without end; the
+    # baseline already holds the most welfare there is, so the root is cut
     inst = additive_instance([[1] * DEEP, [1] * DEEP], agents=["a", "b"])
     path = write_doc(tmp_path, "alternating.json", inst, Allocation([j % 2 for j in range(DEEP)]))
-    code, report, err = run(capsys, ["check-pareto", path, "--budget", "5000"])
+    code, report, err = run(capsys, ["check-pareto", path])
+    assert code == 0, err
+    assert (report["verdict"], report["stats"]["nodes"]) == ("yes", 1)
+
+
+def test_check_pareto_runs_out_its_budget_on_a_heavy_tail_gadget(tmp_path, capsys):
+    # all 8 sign patterns over three variables, filled up with random
+    # clauses: unsatisfiable, so the baseline is optimal, and far deeper
+    # than the budget to certify
+    rng = random.Random(0)
+    clauses = [[a, b, c] for a in (1, -1) for b in (2, -2) for c in (3, -3)] + _random_3cnf(rng, 10, 16)
+    rng.shuffle(clauses)
+    formula = tmp_path / "tail.cnf"
+    formula.write_text(_dimacs(10, clauses))
+    out = tmp_path / "tail.json"
+    assert main(["reduce-po", str(formula), "--out", str(out)]) == 0
+    code, report, err = run(capsys, ["check-pareto", str(out), "--budget", "50"])
     assert code == 2, err
-    assert report["verdict"] == "unknown"
+    assert (report["verdict"], report["stats"]["nodes"]) == ("unknown", 51)
 
 
 def test_check_pareto_requires_an_allocation(tmp_path, capsys):
@@ -413,21 +432,64 @@ def test_verify_reduction_reports_nodes_by_sub_search(tmp_path, capsys):
         assert report["stats"]["nodes"] == detail["sat_nodes"] + detail["dominance_nodes"]
 
 
-def test_verify_reduction_all_flags_builds_the_family_once(tmp_path, capsys, monkeypatch):
-    walks = []
-    original = fairdiv.cli.x_forall_allocation_family
+def test_verify_reduction_all_flags_draws_nothing_from_the_family(tmp_path, capsys, monkeypatch):
+    # the family is checked in closed form, over each flag's patch, so no
+    # template of the 2^F walk is ever built, and templates_checked is 2^F
+    drawn = []
 
     def counting(*args, **kwargs):
-        walks.append(kwargs)
-        return original(*args, **kwargs)
+        for item in fairdiv.reductions.x_forall_allocation_family(*args, **kwargs):
+            drawn.append(item)
+            yield item
 
-    monkeypatch.setattr(fairdiv.cli, "x_forall_allocation_family", counting)
+    monkeypatch.setattr(fairdiv.cli, "x_forall_allocation_family", counting, raising=False)
+    monkeypatch.setattr(fairdiv.reductions, "x_forall_allocation_family", counting)
     formula = tmp_path / "f.qcnf"
     formula.write_text(FALSE_AE_DIMACS)
     code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--all-flags"])
     assert code == 0
-    assert walks == [{"all_flags": True}]
+    assert drawn == []
     assert [e["templates_checked"] for e in report["witness"]["assignments"]] == [16, 4]
+
+
+def test_verify_reduction_all_flags_exits_4_when_two_flags_move_one_resource(tmp_path, capsys, monkeypatch):
+    # the closed form needs each resource in at most one flag's patch; a
+    # builder whose every flag also moves o:envy1 breaks the layout itself
+    original = fairdiv.reductions.build_x_forall_allocation
+
+    def overlapping(reduction, s, var_choice=None, lit_choice=None):
+        template = original(reduction, s, var_choice, lit_choice)
+        if not (var_choice or lit_choice):
+            return template
+        owner = list(template.owner)
+        owner[reduction.mapping.resource("envy1")] = reduction.mapping.agent("satisfied")
+        return Allocation(owner)
+
+    monkeypatch.setattr(fairdiv.reductions, "build_x_forall_allocation", overlapping)
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(FALSE_AE_DIMACS)
+    code, _, err = run(capsys, ["verify-reduction", "eef", str(formula), "--all-flags"])
+    assert code == 4
+    assert "internal error: two flags of one template move the same resource" in err
+
+
+FOUND_AE_DIMACS = "p cnf 3 3\na 1 2 3 0\ne 0\n3 -1 -2 0\n3 0\n-1 -2 3 0\n"
+
+
+def test_verify_reduction_all_flags_on_three_universal_variables(tmp_path, capsys):
+    # a 34x53 gadget whose family holds 14,400 templates: the walk over them
+    # took seconds, the closed form a fraction of one
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(FOUND_AE_DIMACS)
+    started = time.perf_counter()
+    code, report, err = run(capsys, ["verify-reduction", "eef", str(formula), "--all-flags"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 0, err
+    detail = report["witness"]
+    assert (detail["agents"], detail["resources"]) == (34, 53)
+    assert [e["templates_checked"] for e in detail["assignments"]] == \
+        [512, 64, 2048, 256, 2048, 256, 8192, 1024]
+    assert all(e["templates_envy_free"] for e in detail["assignments"])
 
 
 def test_verify_reduction_eef_decides_each_forall_assignment_once(tmp_path, capsys, monkeypatch):
@@ -450,7 +512,9 @@ def test_verify_reduction_eef_decides_each_forall_assignment_once(tmp_path, caps
 
 def test_verify_reduction_unknown_on_tiny_budget(tmp_path, capsys):
     formula = tmp_path / "f.cnf"
-    formula.write_text(UNSAT_DIMACS)
+    # every sign pattern over two variables: the welfare bound does not cut
+    # this gadget's root (that of UNSAT_DIMACS it does), so one node is short
+    formula.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
     code, report, _ = run(capsys, ["verify-reduction", "po", str(formula), "--budget", "1"])
     assert code == 2
     assert report["verdict"] == "unknown"
@@ -696,10 +760,7 @@ def test_verify_reduction_never_reports_an_unsound_reduction(tmp_path_factory, f
     quantified = directory / "f.qcnf"
     quantified.write_text(f"{header}\n{blocks}{body}")
     assert _quiet_run(["verify-reduction", "po", str(plain)])[0] == 0
-    # with three universal variables the --all-flags family runs to some 14,000
-    # templates and seconds per formula, so those formulas check the default one
-    code, err = _quiet_run(["verify-reduction", "eef", str(quantified)]
-                           + ["--all-flags"] * (all_flags and len(forall) < 3))
+    code, err = _quiet_run(["verify-reduction", "eef", str(quantified)] + ["--all-flags"] * all_flags)
     assert code == (0 if num_vars else 3), err      # with no variable, no clause either
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fairdiv import (
     MaxAtomic,
     Ordering,
     UtilityVector,
+    WrongUtilityKind,
     additive_instance,
     bundle_utility,
     dominates,
@@ -21,6 +23,7 @@ from fairdiv import (
     max_atomic_instance,
     utility_vector,
 )
+from fairdiv.model import bundles_of, envy_in_family
 
 rationals = st.fractions(max_denominator=20)
 demand_values = st.integers(min_value=0, max_value=9)
@@ -348,6 +351,42 @@ def test_bundle_rule_matches_the_definition(case):
     assert utility_vector(inst, alloc).values == tuple(prices[i][i] for i in range(n))
     envious = [(i, j) for i in range(n) for j in range(n) if i != j and prices[i][j] > prices[i][i]]
     assert find_envy(inst, alloc) == (envious[0] if envious else None)
+
+
+@st.composite
+def allocation_with_patches(draw):
+    """An additive instance with mixed denominators, a complete allocation,
+    and up to four patches, each moving resources of its own to any agent."""
+    inst = additive_instance(draw(small_matrix(rationals, max_n=4, max_m=6)))
+    n, m = inst.num_agents, inst.num_resources
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    free = draw(st.permutations(range(m)))
+    patches = []
+    for size in draw(st.lists(st.integers(1, 2), max_size=4)):
+        chosen, free = free[:size], free[size:]
+        patches.append([(j, owner[j], draw(st.integers(0, n - 1))) for j in chosen])
+    return inst, owner, patches
+
+
+@given(allocation_with_patches())
+def test_envy_in_family_is_the_first_envy_of_any_member(case):
+    inst, owner, patches = case
+    pairs = []
+    for applied in itertools.product((False, True), repeat=len(patches)):
+        member = list(owner)
+        for moves in itertools.compress(patches, applied):
+            for j, _, to in moves:
+                member[j] = to
+        pairs.append(find_envy(inst, Allocation(member)))
+    expected = min((p for p in pairs if p is not None), default=None)
+    bundles = bundles_of(owner, inst.num_agents)
+    assert envy_in_family(inst.utilities, bundles, patches) == expected
+
+
+def test_envy_in_family_needs_additive_utilities():
+    inst = max_atomic_instance([[1, 2], [2, 1]])
+    with pytest.raises(WrongUtilityKind):
+        envy_in_family(inst.utilities, [[0], [1]], [])
 
 
 def test_find_envy_mixed_denominators_by_row():

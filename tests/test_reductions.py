@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,8 +31,8 @@ from fairdiv import (
     x_forall_allocation_family,
     x_forall_assignments,
 )
-from fairdiv.model import ContractError
-from fairdiv.reductions import _GadgetBuilder
+from fairdiv.model import Additive, ContractError, Instance, bundles_of, envy_in_family
+from fairdiv.reductions import _GadgetBuilder, x_forall_template_patches
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -329,6 +331,74 @@ def test_template_rejects_wrong_assignments():
     with pytest.raises(ContractError):
         build_x_forall_allocation(reduction, PartialAssignment({1: True}),
                                   lit_choice={(0, 1): True})   # x1 is true under s
+
+
+def test_template_builder_rejects_a_mapping_that_leaves_a_resource_unowned():
+    # with envy1's key pointing at envy2's position, no rule places o:envy1
+    reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
+    keys = dict(reduction.mapping.resource_key)
+    keys[("envy1",)] = keys[("envy2",)]
+    tampered = dataclasses.replace(reduction, mapping=dataclasses.replace(
+        reduction.mapping, resource_key=keys))
+    with pytest.raises(AssertionError, match="internal error: .*'o:envy1' unowned"):
+        build_x_forall_allocation(tampered, PartialAssignment({1: True}))
+
+
+# ---------------------------------------------------------------------------
+# the whole template family in closed form: each flag a patch of moves
+
+
+@st.composite
+def ae_gadgets(draw):
+    """The gadget of a formula over 1-3 variables, at most two of them
+    universal, with 1-3 clauses; and, half the time, 1-4 of its cells edited
+    to random values, so that some templates are envious."""
+    num_vars = draw(st.integers(1, 3))
+    forall = draw(st.lists(st.integers(1, num_vars), min_size=1, max_size=2, unique=True))
+    exists = [v for v in range(1, num_vars + 1) if v not in forall]
+    clause = st.lists(st.integers(1, num_vars), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    clauses = draw(st.lists(clause, min_size=1, max_size=3))
+    formula, _ = augment_both_polarities(AEFormula(num_vars, sorted(forall), exists, clauses))
+    reduction = reduce_ae3cnf_to_eef(formula)
+    if draw(st.booleans()):
+        inst = reduction.instance
+        matrix = [list(row) for row in inst.matrix]
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, inst.num_agents - 1))
+            j = draw(st.integers(0, inst.num_resources - 1))
+            matrix[i][j] = draw(st.integers(-4, 4) | st.builds(Fraction, st.integers(-9, 9),
+                                                                 st.integers(1, 4)))
+        reduction = dataclasses.replace(
+            reduction, instance=Instance(inst.agents, inst.resources, Additive(matrix)))
+    return reduction
+
+
+@given(ae_gadgets(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_decides_each_assignment_as_the_walk_does(reduction, all_flags):
+    inst = reduction.instance
+    walk = [(s, [t.owner for _, t in group]) for s, group in itertools.groupby(
+        x_forall_allocation_family(reduction, all_flags=all_flags), key=lambda item: item[0])]
+    closed = list(x_forall_template_patches(reduction, all_flags=all_flags))
+    assert [s for s, _ in walk] == [s for s, _, _ in closed]
+    for (s, owners), (_, template, patches) in zip(walk, closed):
+        # the family is the default template with any subset of the patches applied
+        assert owners[0] == template.owner
+        members = set()
+        for applied in itertools.product((False, True), repeat=len(patches)):
+            owner = list(template.owner)
+            for moves in itertools.compress(patches, applied):
+                for j, before, after in moves:
+                    assert owner[j] == before
+                    owner[j] = after
+            members.add(tuple(owner))
+        assert members == set(owners)
+        # the per-assignment count and verdict the report shows
+        envy_free = all(find_envy(inst, Allocation(owner)) is None for owner in owners)
+        bundles = bundles_of(template.owner, inst.num_agents)
+        assert (2 ** len(patches), envy_in_family(inst.utilities, bundles, patches) is None) \
+            == (len(owners), envy_free)
 
 
 # ---------------------------------------------------------------------------
