@@ -15,9 +15,10 @@ Two constructions live here, both producing additive instances.
   a family of template allocations (built by ``build_x_forall_allocation``);
   each is always envy-free, and it is Pareto-optimal exactly when the clauses
   are *unsatisfiable* over the exists block given ``s``.  That function is
-  the only place the layout is written; ``construct_improvement_eef``
-  recognises a template by rebuilding it from ``s`` and its flags, and
-  ``x_forall_template_patches`` reads each flag's moves off it.  Helper and
+  the only place the layout is written: it returns the default template of
+  ``s`` with each flag's patch, the moves that setting that flag makes, and
+  the family walk, its closed-form check and ``construct_improvement_eef``'s
+  template recognition all read that pair.  Helper and
   envy-protection agents, compensation resources, and two envy anchor
   resources keep every other corner of the allocation space either envious
   or dominated.
@@ -450,73 +451,59 @@ def default_big_m(formula: AEFormula) -> Fraction:
     return reduce_ae3cnf_to_eef(formula).big_m
 
 
-def _false_occurrences(formula: AEFormula, svalues: Mapping[int, bool]) -> list[tuple[int, int]]:
-    """The (clause, literal) occurrences of forall literals that the forall
-    assignment ``svalues`` makes false, in clause order."""
-    return [(k, lit) for k, clause in enumerate(formula.clauses) for lit in clause
-            if literal_variable(lit) in svalues
-            and not literal_holds(lit, svalues[literal_variable(lit)])]
+def build_x_forall_allocation(
+        reduction: EefReduction, s: PartialAssignment,
+) -> tuple[Allocation, list[list[tuple[int, int, int]]]]:
+    """The default template allocation for a forall-block assignment ``s``,
+    and the patch of each of its flags.
 
+    ``s`` must set exactly the forall variables.  A patch is the
+    ``(resource, from agent, to agent)`` moves that setting its flag makes,
+    recorded where the layout places the resources it moves.  The flags, in
+    the family's order:
 
-def build_x_forall_allocation(reduction: EefReduction, s: PartialAssignment,
-                              var_choice: Optional[Mapping[int, bool]] = None,
-                              lit_choice: Optional[Mapping[tuple[int, int], bool]] = None) -> Allocation:
-    """The template allocation for a forall-block assignment ``s``.
+    * one per forall variable v, in ``forall_vars`` order: o:xv moves from
+      the positive literal's assignment agent to the negative one's, and the
+      true literal's helper resource, parked with the assignment agent that
+      did not take o:xv, moves the other way;
+    * one per universal literal occurrence that ``s`` makes *false*, in
+      clause order: its occurrence resource moves from the literal's helper
+      agent to the occurrence's envy-protection agent.
 
-    ``s`` must set exactly the forall variables.  Two kinds of don't-care
-    choice points exist, surfaced as flags with lowest-index defaults:
-
-    * ``var_choice[v]``: which polarity's assignment agent takes the
-      variable resource o:xv (False = positive literal's agent, the default);
-    * ``lit_choice[(k, lit)]``: for a universal literal that is *false*
-      under ``s``, whether its occurrence resource goes to the helper agent
-      (False, the default) or to the envy-protection agent (True).
-
-    The helper resource of the literal that is true under ``s`` is parked
-    with whichever assignment agent did not take the variable resource; the
-    false literal's helper resource goes to its own helper agent.
+    The false literal's helper resource goes home to its helper agent.  No
+    two patches move one resource, so the 2^F templates of ``s`` are the
+    default with any subset of its F patches applied.
     """
     formula = reduction.formula
     mapping = reduction.mapping
     if not is_assignment_over(s, formula.forall_vars):
         raise ContractError("s must assign exactly the forall variables")
     svalues = s.as_dict()
-    var_choice = dict(var_choice or {})
-    lit_choice = dict(lit_choice or {})
-    for v in var_choice:
-        if v not in svalues:
-            raise ContractError(f"var_choice mentions non-forall variable {v}")
-    false_occurrences = set(_false_occurrences(formula, svalues))
-    for key in lit_choice:
-        if key not in false_occurrences:
-            raise ContractError(
-                f"lit_choice key {key} is not a universal literal occurrence false under s")
-
     owner: list[Optional[int]] = [None] * reduction.instance.num_resources
+    var_patches, lit_patches = [], []
 
     for k, clause in enumerate(formula.clauses):
         owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
         for lit in clause:
-            if literal_variable(lit) not in svalues:
-                owner[mapping.resource("lit", k, lit)] = mapping.agent("set", lit)
+            j = mapping.resource("lit", k, lit)
+            v = literal_variable(lit)
+            if v not in svalues:
+                owner[j] = mapping.agent("set", lit)
                 continue
-            # only a false occurrence can carry a flag
-            holder = ("ep", k, lit) if lit_choice.get((k, lit), False) else ("helper", lit)
-            owner[mapping.resource("lit", k, lit)] = mapping.agent(*holder)
+            owner[j] = mapping.agent("helper", lit)
             owner[mapping.resource("lit_ep", k, lit)] = mapping.agent("ep", k, lit)
+            if not literal_holds(lit, svalues[v]):
+                lit_patches.append([(j, owner[j], mapping.agent("ep", k, lit))])
         owner[mapping.resource("clause_comp", k)] = mapping.agent("unassigned")
 
     for v in formula.forall_vars:
-        taken = -v if var_choice.get(v, False) else v
-        other = -taken
-        owner[mapping.resource("var", v)] = mapping.agent("set", taken)
+        pos, neg = mapping.agent("set", v), mapping.agent("set", -v)
         true_lit = v if svalues[v] else -v
-        false_lit = -true_lit
-        # the true literal's helper resource is parked with the assignment
-        # agent that did not take o:xv; the false literal's helper resource
-        # goes home to its helper agent
-        owner[mapping.resource("helper", true_lit)] = mapping.agent("set", other)
-        owner[mapping.resource("helper", false_lit)] = mapping.agent("helper", false_lit)
+        var, parked = mapping.resource("var", v), mapping.resource("helper", true_lit)
+        owner[var] = pos
+        owner[parked] = neg
+        var_patches.append([(var, pos, neg), (parked, neg, pos)])
+        owner[mapping.resource("helper", -true_lit)] = mapping.agent("helper", -true_lit)
         owner[mapping.resource("var_comp", v)] = mapping.agent("unassigned")
 
     for v in formula.exists_vars:
@@ -526,11 +513,13 @@ def build_x_forall_allocation(reduction: EefReduction, s: PartialAssignment,
     owner[mapping.resource("envy1")] = mapping.agent("unassigned")
     owner[mapping.resource("envy2")] = mapping.agent("unassigned_ep")
 
-    # checked, not asserted (-O drops asserts): each flag's patch is a diff of two templates
+    # checked, not asserted (-O drops asserts).  The layout writes every
+    # resource key, so two keys on one position leave another unowned: this
+    # is also what keeps two patches off one resource
     if None in owner:
         raise AssertionError(f"internal error: the template leaves resource "
                              f"{reduction.instance.resources[owner.index(None)]!r} unowned")
-    return Allocation(owner)
+    return Allocation(owner), var_patches + lit_patches
 
 
 def x_forall_assignments(formula: AEFormula) -> Iterator[PartialAssignment]:
@@ -539,53 +528,31 @@ def x_forall_assignments(formula: AEFormula) -> Iterator[PartialAssignment]:
         yield PartialAssignment(dict(zip(formula.forall_vars, bits)))
 
 
-def x_forall_allocation_family(reduction: EefReduction,
-                               all_flags: bool = False) -> Iterator[tuple[PartialAssignment, Allocation]]:
-    """The template allocations, one per forall assignment (default flags),
-    or every flag combination when ``all_flags`` is set: 2^F templates for
-    the F flags of each assignment.  The command line checks the family in
-    closed form (``x_forall_template_patches``); this walk is the reference
-    the tests hold that check to."""
-    formula = reduction.formula
-    flagged_vars = formula.forall_vars if all_flags else ()
-    for s in x_forall_assignments(formula):
-        false_occ = _false_occurrences(formula, s.as_dict()) if all_flags else []
-        for var_bits in itertools.product((False, True), repeat=len(flagged_vars)):
-            var_choice = dict(zip(flagged_vars, var_bits))
-            for lit_bits in itertools.product((False, True), repeat=len(false_occ)):
-                lit_choice = dict(zip(false_occ, lit_bits))
-                yield s, build_x_forall_allocation(reduction, s, var_choice, lit_choice)
-
-
 def x_forall_template_patches(
         reduction: EefReduction, all_flags: bool = False,
 ) -> Iterator[tuple[PartialAssignment, Allocation, list[list[tuple[int, int, int]]]]]:
-    """Per forall assignment ``s``, in the family's order: ``s``, its default
-    template, and the patch of each flag (none unless ``all_flags`` is set).
+    """Per forall assignment ``s``: ``s``, its default template, and the
+    patch of each flag as ``build_x_forall_allocation`` records it (no
+    patches unless ``all_flags`` is set)."""
+    for s in x_forall_assignments(reduction.formula):
+        default, patches = build_x_forall_allocation(reduction, s)
+        yield s, default, patches if all_flags else []
 
-    A patch is the ``(resource, from agent, to agent)`` moves by which the
-    template with that one flag set differs from the default, found by
-    rebuilding it.  No two patches of ``s`` may move the same resource, so
-    the 2^F templates of ``s`` are the default with any subset of its F
-    patches applied; an overlap is an internal error."""
-    formula = reduction.formula
-    for s in x_forall_assignments(formula):
-        default = build_x_forall_allocation(reduction, s)
-        flags = []                     # (var_choice, lit_choice) setting one flag each
-        if all_flags:
-            flags = [({v: True}, None) for v in formula.forall_vars] + [
-                (None, {key: True}) for key in _false_occurrences(formula, s.as_dict())]
-        patches = []
-        moved: set[int] = set()
-        for var_choice, lit_choice in flags:
-            flagged = build_x_forall_allocation(reduction, s, var_choice, lit_choice)
-            moves = [(j, a, b) for j, (a, b) in enumerate(zip(default.owner, flagged.owner)) if a != b]
-            resources = {j for j, _, _ in moves}
-            if resources & moved:
-                raise AssertionError("internal error: two flags of one template move the same resource")
-            moved |= resources
-            patches.append(moves)
-        yield s, default, patches
+
+def x_forall_allocation_family(reduction: EefReduction,
+                               all_flags: bool = False) -> Iterator[tuple[PartialAssignment, Allocation]]:
+    """The template allocations, one per forall assignment (default flags),
+    or every flag combination when ``all_flags`` is set: the default with
+    each subset of its F patches applied, first flag outermost.  The command
+    line checks the family in closed form (``x_forall_template_patches``);
+    this walk is the reference the tests hold that check to."""
+    for s, default, patches in x_forall_template_patches(reduction, all_flags):
+        for applied in itertools.product((False, True), repeat=len(patches)):
+            owner = list(default.owner)
+            for moves in itertools.compress(patches, applied):
+                for j, _, to in moves:
+                    owner[j] = to
+            yield s, Allocation(owner)
 
 
 def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
@@ -594,8 +561,9 @@ def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
     ``s`` that satisfies the clauses, build the allocation that dominates the
     template (the unassigned agent gains exactly 1; nobody loses).
 
-    ``s`` is the extension's values on the forall variables; the flags are
-    read off ``baseline``, and the template they select must equal it.
+    ``s`` is the extension's values on the forall variables.  ``baseline``
+    must be a template of ``s``: the default with each flag patch applied
+    whose targets ``baseline`` shows, and with no other difference.
 
     The resulting allocation deliberately leaves the satisfied collector
     envious of the unassigned agent, so it never counts as envy-free."""
@@ -604,13 +572,14 @@ def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
     values = _full_assignment(extension, formula.num_vars)
     if len(baseline.owner) != reduction.instance.num_resources:
         raise ContractError("allocation does not match the instance")
-    svalues = {v: values[v] for v in formula.forall_vars}
-    var_choice = {v: baseline.owner[mapping.resource("var", v)] == mapping.agent("set", -v)
-                  for v in formula.forall_vars}
-    lit_choice = {(k, lit): baseline.owner[mapping.resource("lit", k, lit)] == mapping.agent("ep", k, lit)
-                  for k, lit in _false_occurrences(formula, svalues)}
-    template = build_x_forall_allocation(reduction, PartialAssignment(svalues), var_choice, lit_choice)
-    if template != baseline:
+    s = PartialAssignment({v: values[v] for v in formula.forall_vars})
+    default, patches = build_x_forall_allocation(reduction, s)
+    template = list(default.owner)
+    for moves in patches:
+        if all(baseline.owner[j] == to for j, _, to in moves):
+            for j, _, to in moves:
+                template[j] = to
+    if tuple(template) != baseline.owner:
         raise ContractError("allocation is not a template allocation for the extension's forall values")
     if not formula_satisfied(formula.clauses, values):
         raise ContractError("the extension does not satisfy the clauses")

@@ -423,7 +423,7 @@ def solve_leximin(instance: Instance) -> Allocation:
     multi-level matrix.
     """
     if not isinstance(instance.utilities, MaxAtomic):
-        raise WrongUtilityKind("weight generation needs max-atomic demands")
+        raise WrongUtilityKind("the leximin solver needs max-atomic demands")
     n, m = instance.num_agents, instance.num_resources
     demands = instance.utilities.rows
     lines = demands if n <= m else tuple(zip(*demands))   # none if n or m is 0

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
@@ -288,7 +288,7 @@ def test_eef_reduction_size_identities(clauses, forall):
 def test_templates_are_envy_free_for_both_assignments():
     reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
     for s in x_forall_assignments(reduction.formula):
-        template = build_x_forall_allocation(reduction, s)
+        template, _ = build_x_forall_allocation(reduction, s)
         assert is_envy_free(reduction.instance, template)
         assert None not in template.owner   # every resource is placed
 
@@ -308,7 +308,7 @@ def test_template_unassigned_bundle_contents():
     reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
     mapping = reduction.mapping
     s = PartialAssignment({1: False})
-    template = build_x_forall_allocation(reduction, s)
+    template, _ = build_x_forall_allocation(reduction, s)
     expected = {
         mapping.resource("var", 2),          # the existential variable resource
         mapping.resource("clause_comp", 0),
@@ -325,12 +325,6 @@ def test_template_rejects_wrong_assignments():
         build_x_forall_allocation(reduction, PartialAssignment({2: True}))
     with pytest.raises(ContractError):
         build_x_forall_allocation(reduction, PartialAssignment({1: True, 2: True}))
-    with pytest.raises(ContractError):
-        build_x_forall_allocation(reduction, PartialAssignment({1: True}),
-                                  var_choice={2: True})
-    with pytest.raises(ContractError):
-        build_x_forall_allocation(reduction, PartialAssignment({1: True}),
-                                  lit_choice={(0, 1): True})   # x1 is true under s
 
 
 def test_template_builder_rejects_a_mapping_that_leaves_a_resource_unowned():
@@ -374,6 +368,36 @@ def ae_gadgets(draw):
     return reduction
 
 
+def flag_patches_from_roles(reduction, s):
+    """Each flag's moves under ``s``, spelled out through the gadget's role
+    keys: per forall variable v, o:xv from set(v) to set(-v) and the true
+    literal's helper resource from set(-v) to set(v); then per universal
+    occurrence false under ``s``, in clause order, o:c{k},lit from
+    helper(lit) to ep(k, lit)."""
+    mapping, values = reduction.mapping, s.as_dict()
+    patches = []
+    for v in reduction.formula.forall_vars:
+        pos, neg = mapping.agent("set", v), mapping.agent("set", -v)
+        true_lit = v if values[v] else -v
+        patches.append([(mapping.resource("var", v), pos, neg),
+                        (mapping.resource("helper", true_lit), neg, pos)])
+    for k, clause in enumerate(reduction.formula.clauses):
+        for lit in clause:
+            if abs(lit) in values and values[abs(lit)] != (lit > 0):
+                patches.append([(mapping.resource("lit", k, lit), mapping.agent("helper", lit),
+                                 mapping.agent("ep", k, lit))])
+    return patches
+
+
+@given(ae_gadgets())
+@example(reduce_ae3cnf_to_eef(EXAMPLE_AE))
+@settings(max_examples=40, deadline=None)
+def test_each_flag_moves_exactly_what_its_roles_say(reduction):
+    for s, _, patches in x_forall_template_patches(reduction, all_flags=True):
+        assert patches == flag_patches_from_roles(reduction, s)
+    assert all(patches == [] for _, _, patches in x_forall_template_patches(reduction))
+
+
 @given(ae_gadgets(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_closed_form_decides_each_assignment_as_the_walk_does(reduction, all_flags):
@@ -410,7 +434,7 @@ def test_eef_improvement_dominates_for_both_assignments():
     unassigned = reduction.mapping.agent("unassigned")
     satisfied = reduction.mapping.agent("satisfied")
     for s in x_forall_assignments(reduction.formula):
-        template = build_x_forall_allocation(reduction, s)
+        template, _ = build_x_forall_allocation(reduction, s)
         sat = sat_on_partial(reduction.formula.cnf(), s)
         assert sat.is_yes
         improvement = construct_improvement_eef(reduction, template, sat.witness)
@@ -433,7 +457,7 @@ def test_eef_improvement_works_from_any_flag_variant():
 def test_eef_improvement_rejects_bad_inputs():
     reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
     s = PartialAssignment({1: True})
-    template = build_x_forall_allocation(reduction, s)
+    template, _ = build_x_forall_allocation(reduction, s)
     with pytest.raises(ContractError):
         # extension flips the universal variable
         construct_improvement_eef(reduction, template, {1: False, 2: False})
@@ -445,6 +469,11 @@ def test_eef_improvement_rejects_bad_inputs():
         construct_improvement_eef(
             reduction, Allocation.empty(reduction.instance.num_resources),
             {1: True, 2: False})
+    half = list(template.owner)
+    half[reduction.mapping.resource("var", 1)] = reduction.mapping.agent("set", -1)
+    with pytest.raises(ContractError):
+        # x1's flag half applied: o:x1 moved, the true helper still parked
+        construct_improvement_eef(reduction, Allocation(half), {1: True, 2: False})
     improvement = construct_improvement_eef(reduction, template, {1: True, 2: False})
     with pytest.raises(ContractError):
         # an improvement is no longer a template
@@ -509,7 +538,7 @@ def test_verdicts_survive_a_tenfold_m():
 
 
 # ---------------------------------------------------------------------------
-# template recognition: construct_improvement_eef rebuilds the template
+# template recognition: construct_improvement_eef applies the flag patches the baseline shows
 
 
 TWO_BY_TWO_AE = AEFormula(4, [1, 2], [3, 4], [[1, -2, 3], [-1, 2, -4], [-3, 4]])
