@@ -21,8 +21,7 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
                       parse_instance, rational_from_text, rational_to_json,
                       report_to_json, serialize_instance, sha256_digest,
                       utilities_to_json)
-from .model import (ContractError, UtilityVector, bundles_of, dominates,
-                    envy_in_family, find_envy, utility_vector)
+from .model import ContractError, UtilityVector, dominates, find_envy, utility_vector
 from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
                       find_dominating_allocation, is_pareto_optimal,
                       sat_on_partial)
@@ -183,11 +182,9 @@ def _verify_eef(args, text: str):
     family_has_eef = False
     sound = True
     unknown = False
-    utilities = reduction.instance.utilities
-    n = reduction.instance.num_agents
     # per forall assignment, its 2^F templates: the default and any subset of its F flag patches
     for s, template, patches in x_forall_template_patches(reduction, all_flags=args.all_flags):
-        envy_free = envy_in_family(utilities, bundles_of(template.owner, n), patches) is None
+        envy_free = find_envy(reduction.instance, template, patches) is None
         sound = sound and envy_free
         sat = sat_on_partial(cnf, s)
         sat_nodes += sat.nodes

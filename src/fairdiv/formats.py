@@ -43,6 +43,15 @@ def rational_to_json(value: Rational, scale: int = 1) -> Union[int, str]:
     return p // g if g == q else f"{p // g}/{q // g}"
 
 
+def _shown(value: object) -> str:
+    """A rejected value's repr cut after 40 characters (a string's before
+    it is quoted); an oversized int's description is kept whole."""
+    if isinstance(value, str):
+        return repr(value[:40] + "..." if len(value) > 40 else value)
+    text = repr(value)
+    return text[:40] + "..." if len(text) > 40 and not isinstance(value, _OversizedInt) else text
+
+
 def rational_from_json(value: object, where: str) -> Rational:
     """A JSON int as itself, a "p/q" string as a Fraction."""
     if isinstance(value, bool):
@@ -54,12 +63,12 @@ def rational_from_json(value: object, where: str) -> Rational:
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value)
         if not match or match.group(2) is None:
-            raise FormatError(f"{where}: malformed rational {value!r}")
+            raise FormatError(f"{where}: malformed rational {_shown(value)}")
         try:
             return Fraction(int(match.group(1)), int(match.group(2)))
         except ValueError as e:          # more digits than int() converts
             raise FormatError(f"{where}: {e}") from None
-    raise FormatError(f"{where}: expected a rational, got {value!r}")
+    raise FormatError(f"{where}: expected a rational, got {_shown(value)}")
 
 
 def rational_from_text(token: str) -> Rational:
@@ -67,14 +76,13 @@ def rational_from_text(token: str) -> Rational:
     Fraction, in ASCII digits, with surrounding whitespace ignored."""
     token = token.strip()
     match = _RATIONAL_RE.fullmatch(token)
-    shown = token if len(token) <= 40 else token[:40] + "..."
     if not match:
-        raise ContractError(f"malformed rational {shown!r}: expected an integer or p/q")
+        raise ContractError(f"malformed rational {_shown(token)}: expected an integer or p/q")
     numerator, denominator = match.groups()
     try:
         return int(numerator) if denominator is None else Fraction(int(numerator), int(denominator))
     except ValueError as e:              # more digits than int() converts
-        raise ContractError(f"malformed rational {shown!r}: {e}") from None
+        raise ContractError(f"malformed rational {_shown(token)}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,8 @@ def _read_dimacs(text: str, quantified: bool) -> tuple[int, list[tuple[int, ...]
     blocks: dict[str, list[int]] = {}
     clauses: list[tuple[int, ...]] = []
     lits: list[int] = []
+    if text.startswith("\ufeff"):
+        raise FormatError("line 1: unexpected UTF-8 byte-order mark; save the file without it")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] == "c":

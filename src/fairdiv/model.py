@@ -282,7 +282,8 @@ class UtilityVector:
 
 def bundle_totals(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> list[int]:
     """Each agent's own bundle priced by its row under the model's
-    ``total``: agent i's utility, times the scale."""
+    ``total``: agent i's utility, times the scale.  The envy kernel,
+    ``envy_in_rows``, prices every bundle by every row itself."""
     total = utilities.total
     return [total(map(row.__getitem__, bundle)) for row, bundle in zip(utilities.rows, bundles)]
 
@@ -324,38 +325,21 @@ def leximin_compare(left: UtilityVector, right: UtilityVector) -> Ordering:
     return Ordering.EQUAL
 
 
-def envy_in_rows(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
-    """The integer kernel of ``find_envy``: each row of ``utilities`` prices
-    every bundle in one pass by the model's ``total``, and agents are
-    checked in order."""
+def envy_in_rows(utilities: UtilitySpec, bundles: Sequence[Sequence[int]],
+                 patches: Sequence[Sequence[tuple[int, int, int]]] = ()) -> Optional[tuple[int, int]]:
+    """The integer kernel of ``find_envy``: each row prices every bundle in
+    one pass by the model's ``total``, agents in order.  For additive
+    utilities, each patch f (a list of ``(resource, from agent, to agent)``
+    moves, no resource in two patches) adds its own term Δ_f(i, k) to i's
+    envy of k, so i's largest envy of k over the allocations with any subset
+    of the patches applied is its envy under ``bundles`` plus every positive
+    Δ_f(i, k)."""
+    if patches and not isinstance(utilities, Additive):
+        raise WrongUtilityKind("the envy of a template family is in closed form only for additive utilities")
     total = utilities.total
     for i, row in enumerate(utilities.rows):
         price = row.__getitem__
         values = [total(map(price, bundle)) for bundle in bundles]
-        own = values[i]
-        for j, v in enumerate(values):
-            if v > own and j != i:
-                return (i, j)
-    return None
-
-
-def envy_in_family(utilities: UtilitySpec, bundles: Sequence[Sequence[int]],
-                   patches: Sequence[Sequence[tuple[int, int, int]]]) -> Optional[tuple[int, int]]:
-    """``envy_in_rows`` over a family of allocations at once: ``bundles``
-    with any subset of ``patches`` applied, each patch a list of
-    ``(resource, from agent, to agent)`` moves, no resource in two patches.
-    Returns the first pair (i, k) such that i envies k in some member of the
-    family, or None if every member is envy-free.
-
-    Utilities must be additive.  Then each applied patch f adds its own term
-    Δ_f(i, k) to i's envy of k, so i's largest envy of k over the family is
-    its envy under ``bundles`` plus every positive Δ_f(i, k): O(n²·F)
-    additions for the 2^F members."""
-    if not isinstance(utilities, Additive):
-        raise WrongUtilityKind("the envy of a template family is in closed form only for additive utilities")
-    for i, row in enumerate(utilities.rows):
-        price = row.__getitem__
-        values = [sum(map(price, bundle)) for bundle in bundles]
         own = values[i]
         for moves in patches:
             delta = defaultdict(int)             # the patch's change to i's value of each bundle
@@ -370,11 +354,13 @@ def envy_in_family(utilities: UtilitySpec, bundles: Sequence[Sequence[int]],
     return None
 
 
-def find_envy(instance: Instance, allocation: Allocation) -> Optional[tuple[int, int]]:
-    """First pair (i, j) such that agent i strictly prefers j's bundle to its
-    own, or None if the allocation is envy-free."""
+def find_envy(instance: Instance, allocation: Allocation,
+              patches: Sequence[Sequence[tuple[int, int, int]]] = ()) -> Optional[tuple[int, int]]:
+    """First pair (i, k) such that agent i strictly prefers k's bundle to its
+    own, or None if the allocation is envy-free; with ``patches``, the first
+    such pair in any allocation that applies a subset of them."""
     check_allocation(instance, allocation)
-    return envy_in_rows(instance.utilities, bundles_of(allocation.owner, instance.num_agents))
+    return envy_in_rows(instance.utilities, bundles_of(allocation.owner, instance.num_agents), patches)
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:

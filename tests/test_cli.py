@@ -22,6 +22,7 @@ from fairdiv import (
     serialize_instance,
 )
 import fairdiv.cli
+import fairdiv.model
 import fairdiv.oracles
 import fairdiv.reductions
 import fairdiv.solver
@@ -369,6 +370,28 @@ def test_verify_reduction_eef_true_and_false_formulas(tmp_path, capsys):
     entries = report["witness"]["assignments"]
     assert any(e["templates_checked"] > 1 for e in entries)
     assert all(e["templates_envy_free"] for e in entries)
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-flags"]])
+def test_verify_reduction_eef_checks_each_assignment_through_find_envy(tmp_path, capsys, monkeypatch, flags):
+    """One ``find_envy`` call per forall assignment, with that assignment's
+    patches, through the name the command calls it by: a tracer that wraps
+    ``fairdiv.cli.find_envy`` sees every envy check of the command."""
+    calls = []
+
+    def counting(instance, allocation, patches=()):
+        calls.append(len(patches))
+        return fairdiv.model.find_envy(instance, allocation, patches)
+
+    monkeypatch.setattr(fairdiv.cli, "find_envy", counting)
+    formula = tmp_path / "f.qcnf"
+    formula.write_text(FALSE_AE_DIMACS)
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), *flags])
+    assert code == 0
+    entries = report["witness"]["assignments"]
+    assert len(calls) == len(entries) == 2
+    assert [2 ** f for f in calls] == [e["templates_checked"] for e in entries]
+    assert any(calls) == bool(flags)
 
 
 def test_verify_reduction_checks_that_each_improvement_dominates(tmp_path, capsys, monkeypatch):

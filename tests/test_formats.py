@@ -384,6 +384,16 @@ def test_a_malformed_cell_is_reported_before_a_later_short_row(kind, cell, messa
         assert str(e.value) == f"document.matrix[0][1]: {message}"
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("1" * 200_000, "malformed rational '" + "1" * 40 + "...'"),
+    (list(range(50_000)), "expected a rational, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1..."),
+], ids=["string", "list"])
+def test_a_long_malformed_cell_is_shown_cut_after_40_characters(cell, message):
+    with pytest.raises(FormatError) as e:
+        parse_instance(two_by_two("additive", cell, [2, 3]))
+    assert str(e.value) == f"document.matrix[0][1]: {message}"
+
+
 @pytest.mark.parametrize("kind", ["max-atomic", "additive"])
 @pytest.mark.parametrize("cell", ["1/2", "-1/2", -1])
 def test_a_later_short_row_is_reported_after_well_formed_cells(kind, cell):
@@ -484,6 +494,17 @@ def test_parse_dimacs_errors():
             parse_dimacs(text)
     with pytest.raises(FormatError, match="line 2: unexpected token 'a'"):
         parse_dimacs("p cnf 2 1\na 1 0\n1 2 0\n")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_dimacs, "p cnf 2 1\n1 2 0\n"),
+    (parse_ae_dimacs, "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"),
+], ids=["dimacs", "ae-dimacs"])
+def test_dimacs_with_a_byte_order_mark_is_rejected_by_name(parse, text):
+    assert parse(text).clauses == ((1, 2),)
+    with pytest.raises(FormatError) as e:
+        parse("\ufeff" + text)
+    assert str(e.value) == "line 1: unexpected UTF-8 byte-order mark; save the file without it"
 
 
 def test_parse_ae_dimacs_example():

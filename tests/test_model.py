@@ -23,7 +23,7 @@ from fairdiv import (
     max_atomic_instance,
     utility_vector,
 )
-from fairdiv.model import bundles_of, envy_in_family
+from fairdiv.model import bundles_of, envy_in_rows
 
 rationals = st.fractions(max_denominator=20)
 demand_values = st.integers(min_value=0, max_value=9)
@@ -380,13 +380,23 @@ def test_envy_in_family_is_the_first_envy_of_any_member(case):
         pairs.append(find_envy(inst, Allocation(member)))
     expected = min((p for p in pairs if p is not None), default=None)
     bundles = bundles_of(owner, inst.num_agents)
-    assert envy_in_family(inst.utilities, bundles, patches) == expected
+    assert envy_in_rows(inst.utilities, bundles, patches) == expected
 
 
 def test_envy_in_family_needs_additive_utilities():
     inst = max_atomic_instance([[1, 2], [2, 1]])
     with pytest.raises(WrongUtilityKind):
-        envy_in_family(inst.utilities, [[0], [1]], [])
+        envy_in_rows(inst.utilities, [[0], [1]], [[(0, 0, 1)]])
+
+
+def test_envy_in_rows_without_patches_takes_max_atomic_utilities():
+    inst = max_atomic_instance([[1, 2], [2, 1]])
+    pairs = set()
+    for owner in itertools.product((None, 0, 1), repeat=2):
+        pair = envy_in_rows(inst.utilities, bundles_of(owner, 2))
+        assert pair == find_envy(inst, Allocation(owner))
+        pairs.add(pair)
+    assert pairs == {None, (0, 1), (1, 0)}
 
 
 def test_find_envy_mixed_denominators_by_row():
