@@ -25,9 +25,10 @@ from .model import ContractError, UtilityVector, dominates, find_envy, utility_v
 from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
                       find_dominating_allocation, is_pareto_optimal,
                       sat_on_partial)
-from .reductions import (augment_both_polarities, construct_improvement_eef,
-                         construct_improvement_po, reduce_3cnf_to_po,
-                         reduce_ae3cnf_to_eef, x_forall_template_patches)
+from .reductions import (augment_both_polarities, build_x_forall_allocation,
+                         construct_improvement_eef, construct_improvement_po,
+                         reduce_3cnf_to_po, reduce_ae3cnf_to_eef,
+                         x_forall_assignments)
 from .solver import beats_threshold, solve_leximin
 
 
@@ -183,7 +184,9 @@ def _verify_eef(args, text: str):
     sound = True
     unknown = False
     # per forall assignment, its 2^F templates: the default and any subset of its F flag patches
-    for s, template, patches in x_forall_template_patches(reduction, all_flags=args.all_flags):
+    for s in x_forall_assignments(reduction.formula):
+        template, patches = build_x_forall_allocation(reduction, s)
+        patches = patches if args.all_flags else []
         envy_free = find_envy(reduction.instance, template, patches) is None
         sound = sound and envy_free
         sat = sat_on_partial(cnf, s)

@@ -123,22 +123,9 @@ def document_to_dict(doc: InstanceDocument) -> dict:
     return data
 
 
-# what separates two cells of a matrix row in an indent=2 document
-_CELL_SEPARATORS = (",\n      ", ": ")
-
-
 def serialize_instance(doc: InstanceDocument) -> str:
-    """``json.dumps(document_to_dict(doc), indent=2, sort_keys=True)`` and a
-    newline.  ``indent`` drops ``json`` to its pure-Python encoder, so each
-    matrix row goes through the C encoder instead, with the indenting spelled
-    out as its separator; the other fields are small."""
-    data = document_to_dict(doc)
-    rows = [json.dumps(row, separators=_CELL_SEPARATORS) for row in data.pop("matrix")]
-    rows = [row if row == "[]" else f"[\n      {row[1:-1]}\n    ]" for row in rows]
-    fields = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-              for key, value in data.items()}
-    fields["matrix"] = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
+    """The document as one compact JSON line with sorted keys."""
+    return json.dumps(document_to_dict(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _expect(data: Mapping, key: str, kind: type, where: str):
@@ -191,13 +178,13 @@ def parse_instance(document: str) -> InstanceDocument:
         raise FormatError("document: expected a JSON object")
     unknown = set(data) - _DOCUMENT_KEYS
     if unknown:
-        raise FormatError(f"document: unknown field {sorted(unknown)[0]!r}")
+        raise FormatError(f"document: unknown field {_shown(min(unknown))}")
 
     kind = _expect(data, "kind", str, "document")
     model = next((cls for cls in UTILITY_MODELS if cls.kind == kind), None)
     if model is None:
         expected = " or ".join(f'"{cls.kind}"' for cls in UTILITY_MODELS)
-        raise FormatError(f"document.kind: expected {expected}, got {kind!r}")
+        raise FormatError(f"document.kind: expected {expected}, got {_shown(kind)}")
     agents = _expect(data, "agents", list, "document")
     resources = _expect(data, "resources", list, "document")
     indexes = []                                      # id -> position, per side
@@ -243,14 +230,14 @@ def parse_instance(document: str) -> InstanceDocument:
         owner: list[Optional[int]] = [None] * len(resources)
         for rid, aid in alloc_data.items():
             if rid not in resource_index:
-                raise FormatError(f"document.allocation: unknown resource id {rid!r}")
+                raise FormatError(f"document.allocation: unknown resource id {_shown(rid)}")
             if aid is None:
                 continue
             if not isinstance(aid, str):
-                raise FormatError(f"document.allocation[{rid!r}]: expected an agent id or null, "
+                raise FormatError(f"document.allocation[{_shown(rid)}]: expected an agent id or null, "
                                   f"got {type(aid).__name__}")
             if aid not in agent_index:
-                raise FormatError(f"document.allocation[{rid!r}]: unknown agent id {aid!r}")
+                raise FormatError(f"document.allocation[{_shown(rid)}]: unknown agent id {_shown(aid)}")
             owner[resource_index[rid]] = agent_index[aid]
         allocation = Allocation(owner)
 
@@ -259,20 +246,20 @@ def parse_instance(document: str) -> InstanceDocument:
         roles = _expect(data, "roles", Mapping, "document")
         unknown = set(roles) - {"agents", "resources", "links"}
         if unknown:
-            raise FormatError(f"document.roles: unknown field {sorted(unknown)[0]!r}")
+            raise FormatError(f"document.roles: unknown field {_shown(min(unknown))}")
         links = roles.get("links", {})
         if not isinstance(links, Mapping):
             raise FormatError("document.roles.links: expected an object")
         for key, link in links.items():
             if key not in agent_index and key not in resource_index:
-                raise FormatError(f"document.roles.links: unknown id {key!r}")
+                raise FormatError(f"document.roles.links: unknown id {_shown(key)}")
             if not isinstance(link, Mapping):
-                raise FormatError(f"document.roles.links[{key!r}]: expected an object")
+                raise FormatError(f"document.roles.links[{_shown(key)}]: expected an object")
             for field, value in link.items():
                 if field not in _LINK_FIELDS:
-                    raise FormatError(f"document.roles.links[{key!r}]: unknown field {field!r}")
+                    raise FormatError(f"document.roles.links[{_shown(key)}]: unknown field {_shown(field)}")
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise FormatError(f"document.roles.links[{key!r}].{field}: expected an int")
+                    raise FormatError(f"document.roles.links[{_shown(key)}].{field}: expected an int")
         # links on ids without a role stay in the map, as a document may carry them
         mapping = ReductionMap({}, {}, {k: dict(v) for k, v in links.items()}, {}, {})
         for side, section, index in (("agent", "agents", agent_index),
@@ -282,9 +269,9 @@ def parse_instance(document: str) -> InstanceDocument:
                 raise FormatError(f"document.roles.{section}: expected an object")
             for key, role in section_data.items():
                 if key not in index:
-                    raise FormatError(f"document.roles.{section}: unknown id {key!r}")
+                    raise FormatError(f"document.roles.{section}: unknown id {_shown(key)}")
                 if not isinstance(role, str):
-                    raise FormatError(f"document.roles.{section}[{key!r}]: roles are strings")
+                    raise FormatError(f"document.roles.{section}[{_shown(key)}]: roles are strings")
                 try:
                     mapping.add(side, key, role, mapping.links.get(key, {}), index[key])
                 except ContractError as e:
@@ -319,11 +306,11 @@ def _read_dimacs(text: str, quantified: bool) -> tuple[int, list[tuple[int, ...]
             if num_vars is not None:
                 raise FormatError(f"line {lineno}: duplicate 'p cnf' header")
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise FormatError(f"line {lineno}: malformed header {line!r}")
+                raise FormatError(f"line {lineno}: malformed header {_shown(line)}")
             try:
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
-                raise FormatError(f"line {lineno}: malformed header {line!r}") from None
+                raise FormatError(f"line {lineno}: malformed header {_shown(line)}") from None
             if num_vars < 0 or declared < 0:
                 raise FormatError(f"line {lineno}: negative counts in header")
             continue
@@ -379,7 +366,7 @@ def _dimacs_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise FormatError(f"line {lineno}: unexpected token {token!r}") from None
+        raise FormatError(f"line {lineno}: unexpected token {_shown(token)}") from None
 
 
 def parse_dimacs(text: str) -> CnfFormula:

@@ -528,25 +528,17 @@ def x_forall_assignments(formula: AEFormula) -> Iterator[PartialAssignment]:
         yield PartialAssignment(dict(zip(formula.forall_vars, bits)))
 
 
-def x_forall_template_patches(
-        reduction: EefReduction, all_flags: bool = False,
-) -> Iterator[tuple[PartialAssignment, Allocation, list[list[tuple[int, int, int]]]]]:
-    """Per forall assignment ``s``: ``s``, its default template, and the
-    patch of each flag as ``build_x_forall_allocation`` records it (no
-    patches unless ``all_flags`` is set)."""
-    for s in x_forall_assignments(reduction.formula):
-        default, patches = build_x_forall_allocation(reduction, s)
-        yield s, default, patches if all_flags else []
-
-
 def x_forall_allocation_family(reduction: EefReduction,
                                all_flags: bool = False) -> Iterator[tuple[PartialAssignment, Allocation]]:
     """The template allocations, one per forall assignment (default flags),
     or every flag combination when ``all_flags`` is set: the default with
     each subset of its F patches applied, first flag outermost.  The command
-    line checks the family in closed form (``x_forall_template_patches``);
-    this walk is the reference the tests hold that check to."""
-    for s, default, patches in x_forall_template_patches(reduction, all_flags):
+    line checks the family in closed form over the patches of
+    ``build_x_forall_allocation``; this walk is the reference the tests hold
+    that check to."""
+    for s in x_forall_assignments(reduction.formula):
+        default, patches = build_x_forall_allocation(reduction, s)
+        patches = patches if all_flags else []
         for applied in itertools.product((False, True), repeat=len(patches)):
             owner = list(default.owner)
             for moves in itertools.compress(patches, applied):

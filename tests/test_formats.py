@@ -36,6 +36,7 @@ from fairdiv.formats import (
     strip_volatile,
     utilities_to_json,
 )
+from fairdiv.cli import main
 from fairdiv.model import ContractError, UtilityVector
 
 EXAMPLE_CNF = CnfFormula(3, [[1, 2, -3], [-1, -2, -3]])
@@ -146,13 +147,27 @@ def test_serialization_matches_a_per_cell_fraction_encoder(data):
     parsed = parse_instance(json.dumps(doc))
     text = serialize_instance(parsed)
     expected = dict(doc, matrix=[[fraction_encoding(c) for c in row] for row in matrix])
-    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
     assert parse_instance(text) == parsed
     assert parsed.instance.matrix == tuple(tuple(cell_value(c) for c in row) for row in matrix)
 
 
-def indenting_encoder(doc):
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+def sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+def assert_written_as_readers_expect(doc):
+    """A written document is one ASCII line with sorted keys in every object;
+    it reads back as ``document_to_dict`` and as the document, and the
+    ``indent=2`` layout of earlier versions reads as the same document."""
+    text = serialize_instance(doc)
+    assert text.endswith("\n") and "\n" not in text[:-1] and text.isascii()
+    json.loads(text, object_pairs_hook=sorted_object)
+    assert json.loads(text) == document_to_dict(doc)
+    assert parse_instance(text) == doc
+    assert parse_instance(json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n") == doc
 
 
 # ids with quotes, backslashes, control and non-ASCII characters, all escaped by the encoder
@@ -161,7 +176,7 @@ document_ids = st.text(st.sampled_from('ab"\\/\n\té€😀 :'), min_size=1, max
 
 @settings(max_examples=300)
 @given(st.data())
-def test_serialization_equals_the_indenting_encoder(data):
+def test_serialization_is_one_sorted_line_that_reads_back(data):
     kind = data.draw(st.sampled_from(["additive", "max-atomic"]))
     cells = document_cells if kind == "additive" else document_cells.filter(lambda c: cell_value(c) >= 0)
     n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))     # m = 0: empty rows
@@ -171,27 +186,25 @@ def test_serialization_equals_the_indenting_encoder(data):
            "matrix": data.draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))}
     instance = parse_instance(json.dumps(doc)).instance
     owner = data.draw(st.none() | st.lists(st.none() | st.integers(0, n - 1), min_size=m, max_size=m))
-    parsed = InstanceDocument(instance, None if owner is None else Allocation(owner))
-    assert serialize_instance(parsed) == indenting_encoder(parsed)
+    assert_written_as_readers_expect(InstanceDocument(instance, None if owner is None else Allocation(owner)))
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 4).flatmap(lambda w: st.tuples(st.just(w), st.lists(
     st.lists(st.integers(1, w).flatmap(lambda v: st.sampled_from([v, -v])), min_size=1, max_size=3),
     min_size=1, max_size=4))), st.booleans())
-def test_serialization_of_reductions_equals_the_indenting_encoder(formula, with_baseline):
+def test_serialization_of_reductions_is_one_sorted_line_that_reads_back(formula, with_baseline):
     num_vars, clauses = formula
     reduction = reduce_3cnf_to_po(CnfFormula(num_vars, clauses))
-    doc = InstanceDocument(reduction.instance, reduction.baseline if with_baseline else None,
-                           reduction.mapping)
-    assert serialize_instance(doc) == indenting_encoder(doc)
+    assert_written_as_readers_expect(InstanceDocument(
+        reduction.instance, reduction.baseline if with_baseline else None, reduction.mapping))
 
 
-def test_serialization_of_an_eef_gadget_equals_the_indenting_encoder():
+def test_serialization_of_an_eef_gadget_is_one_sorted_line_that_reads_back():
     eef = reduce_ae3cnf_to_eef(AEFormula(2, [1], [2], [[1, 2], [-1, -2]]))
     doc = InstanceDocument(eef.instance, None, eef.mapping)        # "p/q" cells with roles
     assert any(isinstance(c, str) for row in document_to_dict(doc)["matrix"] for c in row)
-    assert serialize_instance(doc) == indenting_encoder(doc)
+    assert_written_as_readers_expect(doc)
 
 
 def test_round_trip_preserves_reduction_roles():
@@ -392,6 +405,48 @@ def test_a_long_malformed_cell_is_shown_cut_after_40_characters(cell, message):
     with pytest.raises(FormatError) as e:
         parse_instance(two_by_two("additive", cell, [2, 3]))
     assert str(e.value) == f"document.matrix[0][1]: {message}"
+
+
+LONG = "x" * 200_000
+
+
+def one_cell(**fields):
+    return json.dumps({"kind": "additive", "agents": ["a"], "resources": ["o"], "matrix": [[1]],
+                       **fields})
+
+
+# each place a document or DIMACS file can echo one of its values, given a 200,000-character one
+LONG_VALUE_SITES = {
+    "kind": one_cell(kind=LONG),
+    "document field": one_cell(**{LONG: 0}),
+    "roles field": one_cell(roles={LONG: {}}),
+    "allocation resource id": one_cell(allocation={LONG: "a"}),
+    "allocation agent id": one_cell(allocation={"o": LONG}),
+    "allocation path, agent type": one_cell(resources=[LONG], allocation={LONG: 0}),
+    "allocation path, agent id": one_cell(resources=[LONG], allocation={LONG: "b"}),
+    "links id": one_cell(roles={"links": {LONG: {}}}),
+    "links path, object": one_cell(agents=[LONG], roles={"links": {LONG: 0}}),
+    "links path, field": one_cell(agents=[LONG], roles={"links": {LONG: {"clause": "0"}}}),
+    "links field": one_cell(roles={"links": {"a": {LONG: 0}}}),
+    "roles id": one_cell(roles={"agents": {LONG: "clause"}}),
+    "roles path": one_cell(agents=[LONG], roles={"agents": {LONG: 0}}),
+    "dimacs header fields": f"p cnf 1 1 {LONG}\n1 0\n",
+    "dimacs header count": f"p cnf 1 {LONG}\n1 0\n",
+    "dimacs token": f"p cnf 1 1\n{LONG} 0\n",
+}
+
+
+@pytest.mark.parametrize("site", LONG_VALUE_SITES)
+def test_a_long_value_is_echoed_cut_at_every_site(site, tmp_path, capsys):
+    text = LONG_VALUE_SITES[site]
+    dimacs = text.startswith("p cnf")
+    with pytest.raises(FormatError) as e:
+        (parse_dimacs if dimacs else parse_instance)(text)
+    assert len(str(e.value)) < 200
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main(["reduce-po" if dimacs else "check-envy", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {e.value}\n"
 
 
 @pytest.mark.parametrize("kind", ["max-atomic", "additive"])

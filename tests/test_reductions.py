@@ -32,7 +32,7 @@ from fairdiv import (
     x_forall_assignments,
 )
 from fairdiv.model import Additive, ContractError, Instance
-from fairdiv.reductions import _GadgetBuilder, x_forall_template_patches
+from fairdiv.reductions import _GadgetBuilder
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -393,9 +393,9 @@ def flag_patches_from_roles(reduction, s):
 @example(reduce_ae3cnf_to_eef(EXAMPLE_AE))
 @settings(max_examples=40, deadline=None)
 def test_each_flag_moves_exactly_what_its_roles_say(reduction):
-    for s, _, patches in x_forall_template_patches(reduction, all_flags=True):
+    for s in x_forall_assignments(reduction.formula):
+        _, patches = build_x_forall_allocation(reduction, s)
         assert patches == flag_patches_from_roles(reduction, s)
-    assert all(patches == [] for _, _, patches in x_forall_template_patches(reduction))
 
 
 @given(ae_gadgets(), st.booleans())
@@ -404,7 +404,10 @@ def test_closed_form_decides_each_assignment_as_the_walk_does(reduction, all_fla
     inst = reduction.instance
     walk = [(s, [t.owner for _, t in group]) for s, group in itertools.groupby(
         x_forall_allocation_family(reduction, all_flags=all_flags), key=lambda item: item[0])]
-    closed = list(x_forall_template_patches(reduction, all_flags=all_flags))
+    closed = []
+    for s in x_forall_assignments(reduction.formula):
+        template, patches = build_x_forall_allocation(reduction, s)
+        closed.append((s, template, patches if all_flags else []))
     assert [s for s, _ in walk] == [s for s, _, _ in closed]
     for (s, owners), (_, template, patches) in zip(walk, closed):
         # the family is the default template with any subset of the patches applied
