@@ -6,8 +6,8 @@ from .model import (Additive, Allocation, ContractError, Instance, MaxAtomic,
                     bundle_utility, dominates, find_envy, is_envy_free,
                     leximin_compare, max_atomic_instance, utility_vector)
 from .solver import (Matching, WeightMatrix, check_weight_invariants,
-                     decide_lmmuab, generate_weights, matching_weight,
-                     min_weight_max_matching, solve_leximin)
+                     decide_lmmuab, generate_weights, min_weight_max_matching,
+                     solve_leximin)
 from .formulas import (AEFormula, CnfFormula, PartialAssignment,
                        clauses_with_literal, formula_satisfied, literal_holds)
 from .oracles import (DEFAULT_BUDGET, SearchBudget, SearchSpaceTooLarge,

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Mapping, Optional, Union
 
 from .model import (UTILITY_MODELS, Allocation, ContractError, Instance,
-                    Rational, UtilityVector)
+                    Rational, UtilityVector, _shown)
 from .formulas import AEFormula, CnfFormula
 from .reductions import ROLES, ReductionMap
 
@@ -43,15 +43,6 @@ def rational_to_json(value: Rational, scale: int = 1) -> Union[int, str]:
     return p // g if g == q else f"{p // g}/{q // g}"
 
 
-def _shown(value: object) -> str:
-    """A rejected value's repr cut after 40 characters (a string's before
-    it is quoted); an oversized int's description is kept whole."""
-    if isinstance(value, str):
-        return repr(value[:40] + "..." if len(value) > 40 else value)
-    text = repr(value)
-    return text[:40] + "..." if len(text) > 40 and not isinstance(value, _OversizedInt) else text
-
-
 def rational_from_json(value: object, where: str) -> Rational:
     """A JSON int as itself, a "p/q" string as a Fraction."""
     if isinstance(value, bool):
@@ -68,7 +59,9 @@ def rational_from_json(value: object, where: str) -> Rational:
             return Fraction(int(match.group(1)), int(match.group(2)))
         except ValueError as e:          # more digits than int() converts
             raise FormatError(f"{where}: {e}") from None
-    raise FormatError(f"{where}: expected a rational, got {_shown(value)}")
+    # an oversized int's description is shown whole
+    shown = repr(value) if isinstance(value, _OversizedInt) else _shown(value)
+    raise FormatError(f"{where}: expected a rational, got {shown}")
 
 
 def rational_from_text(token: str) -> Rational:
@@ -211,13 +204,7 @@ def parse_instance(document: str) -> InstanceDocument:
             if not isinstance(row, list) or len(row) != len(resources):
                 raise FormatError(f"document.matrix[{i}]: expected a row of {len(resources)} entries")
             if not set(map(type, row)) <= {int}:      # a row of JSON ints goes to the model as it is
-                try:
-                    row = [rational_from_json(v, "document.matrix") for v in row]
-                except FormatError:
-                    # the cell path is formatted only here, on the way out
-                    for j, v in enumerate(row):
-                        rational_from_json(v, f"document.matrix[{i}][{j}]")
-                    raise
+                row = [rational_from_json(v, f"document.matrix[{i}][{j}]") for j, v in enumerate(row)]
             matrix.append(row)
         try:
             instance = Instance(agents, resources, model(matrix))

@@ -16,10 +16,6 @@ from typing import Iterable, Mapping, Optional
 from .model import ContractError
 
 
-def literal_variable(lit: int) -> int:
-    return abs(lit)
-
-
 def literal_holds(lit: int, value: bool) -> bool:
     """Truth of a literal given its variable's value."""
     return value if lit > 0 else not value
@@ -51,13 +47,6 @@ class CnfFormula:
                 raise ContractError(f"clause {k} is empty")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", frozen)
-
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(range(1, self.num_vars + 1))
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,6 @@ class AEFormula:
         object.__setattr__(self, "exists_vars", ex)
         object.__setattr__(self, "clauses", cnf.clauses)
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
-
     def cnf(self) -> CnfFormula:
         return CnfFormula(self.num_vars, self.clauses)
 
@@ -116,25 +101,8 @@ class PartialAssignment:
                 raise ContractError(f"value for variable {v} must be a bool, got {b!r}")
         object.__setattr__(self, "values", tuple(sorted(items.items())))
 
-    def get(self, var: int) -> Optional[bool]:
-        for v, b in self.values:
-            if v == var:
-                return b
-        return None
-
     def as_dict(self) -> dict[int, bool]:
         return dict(self.values)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.values)
-
-    def with_value(self, var: int, value: bool) -> "PartialAssignment":
-        d = self.as_dict()
-        d[var] = value
-        return PartialAssignment(d)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def clause_status(clause: Iterable[int], assignment: Mapping[int, bool]) -> Optional[bool]:
@@ -158,8 +126,3 @@ def formula_satisfied(clauses: Iterable[Iterable[int]], assignment: Mapping[int,
 def clauses_with_literal(clauses: Iterable[Iterable[int]], lit: int) -> tuple[int, ...]:
     """Indices of clauses containing the literal (exactly, not its negation)."""
     return tuple(k for k, c in enumerate(clauses) if lit in c)
-
-
-def is_assignment_over(assignment: PartialAssignment, variables: Iterable[int]) -> bool:
-    """Does the assignment set exactly the given variables?"""
-    return assignment.variables() == frozenset(variables)

@@ -33,6 +33,15 @@ class WrongUtilityKind(ContractError):
 Rational = Union[int, Fraction]
 
 
+def _shown(value: object) -> str:
+    """A rejected value's repr cut after 40 characters (a string's before
+    it is quoted), for messages that echo what a document holds."""
+    if isinstance(value, str):
+        return repr(value[:40] + "..." if len(value) > 40 else value)
+    text = repr(value)
+    return text[:40] + "..." if len(text) > 40 else text
+
+
 def as_rational(value: object, where: str = "value") -> Rational:
     """``value`` unchanged if it is an exact rational, an int or a Fraction;
     floats and bools are rejected."""
@@ -215,12 +224,6 @@ class Allocation:
     def empty(cls, num_resources: int) -> "Allocation":
         return cls((None,) * num_resources)
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((who, j) for j, who in enumerate(self.owner) if who is not None)
-
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        return tuple(j for j, who in enumerate(self.owner) if who == agent)
-
 
 def check_allocation(instance: Instance, allocation: Allocation) -> None:
     """Raise ContractError unless ``allocation`` fits ``instance``."""
@@ -275,9 +278,6 @@ class UtilityVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def bundle_totals(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> list[int]:

@@ -43,9 +43,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment,
-                       clauses_with_literal, formula_satisfied,
-                       is_assignment_over, literal_holds, literal_variable)
-from .model import Additive, Allocation, ContractError, Instance, as_rational
+                       clauses_with_literal, formula_satisfied, literal_holds)
+from .model import Additive, Allocation, ContractError, Instance, _shown, as_rational
 
 # role -> (tag, link fields): an id's structured key is (tag, *link values),
 # so the role and link a document carries are enough to rebuild it
@@ -86,11 +85,11 @@ def _structured_key(side: str, role: str, link: Mapping) -> tuple:
     try:
         tag, fields = ROLES[side][role]
     except KeyError:
-        raise ContractError(f"unknown {side} role {role!r}") from None
+        raise ContractError(f"unknown {side} role {_shown(role)}") from None
     try:
         return (tag, *map(link.__getitem__, fields))
     except KeyError as e:
-        raise ContractError(f"{side} role {role!r} needs link field {e.args[0]!r}") from None
+        raise ContractError(f"{side} role {_shown(role)} needs link field {e.args[0]!r}") from None
 
 
 def _lit_id(lit: int) -> str:
@@ -128,7 +127,7 @@ class ReductionMap:
                         else (self.resource_roles, self.resource_key))
         key = _structured_key(side, role, link)
         if key in index:
-            raise ContractError(f"{side} {xid!r} repeats the structured key {key!r}")
+            raise ContractError(f"{side} {_shown(xid)} repeats the structured key {_shown(key)}")
         index[key] = idx
         roles[xid] = role
         if link:
@@ -364,7 +363,7 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
             b.add_agent(f"a:set({_lit_id(lit)})", "existential-assignment", literal=lit)
     for k, clause in enumerate(clauses):
         for lit in clause:
-            if literal_variable(lit) in universal:
+            if abs(lit) in universal:
                 b.add_agent(f"a:ep(c{k + 1},{_lit_id(lit)})", "envy-protection",
                             clause=k, literal=lit)
     b.add_agent("a:unassigned", "unassigned")
@@ -383,11 +382,11 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
         b.add_resource(f"o:c{k + 1}:comp", "clause-compensation", clause=k)
     for k, clause in enumerate(clauses):
         for lit in clause:
-            role = "universal-literal" if literal_variable(lit) in universal else "existential-literal"
+            role = "universal-literal" if abs(lit) in universal else "existential-literal"
             b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", role, clause=k, literal=lit)
     for k, clause in enumerate(clauses):
         for lit in clause:
-            if literal_variable(lit) in universal:
+            if abs(lit) in universal:
                 b.add_resource(f"o:c{k + 1},{_lit_id(lit)}:ep", "literal-envy-protection",
                                clause=k, literal=lit)
     b.add_resource("o:satisfied", "satisfied")
@@ -400,7 +399,7 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
         b.set(("unassigned",), ("clause_comp", k), 1)
         for lit in clause:
             b.set(("clause", k), ("lit", k, lit), 1)
-            if literal_variable(lit) in universal:
+            if abs(lit) in universal:
                 b.set(("helper", lit), ("lit", k, lit), 1)
                 b.set(("ep", k, lit), ("lit", k, lit), 1)
             else:
@@ -438,7 +437,7 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
         b.set(("clause", k), ("clause", k), m_value)
         b.set(("clause", k), ("clause_comp", k), m_value - 1)
         for lit in clause:
-            if literal_variable(lit) in universal:
+            if abs(lit) in universal:
                 b.set(("ep", k, lit), ("clause", k), m_value)
                 b.set(("ep", k, lit), ("lit_ep", k, lit), m_value)
     b.set(("unassigned_ep",), ("envy2",), m_value)
@@ -476,9 +475,9 @@ def build_x_forall_allocation(
     """
     formula = reduction.formula
     mapping = reduction.mapping
-    if not is_assignment_over(s, formula.forall_vars):
-        raise ContractError("s must assign exactly the forall variables")
     svalues = s.as_dict()
+    if svalues.keys() != set(formula.forall_vars):
+        raise ContractError("s must assign exactly the forall variables")
     owner: list[Optional[int]] = [None] * reduction.instance.num_resources
     var_patches, lit_patches = [], []
 
@@ -486,7 +485,7 @@ def build_x_forall_allocation(
         owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
         for lit in clause:
             j = mapping.resource("lit", k, lit)
-            v = literal_variable(lit)
+            v = abs(lit)
             if v not in svalues:
                 owner[j] = mapping.agent("set", lit)
                 continue

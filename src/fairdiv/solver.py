@@ -149,12 +149,6 @@ class Matching:
             raise ContractError("matching reuses a row or column")
         object.__setattr__(self, "pairs", pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 _UNREACHED = float("inf")                # above every int, however large
 
@@ -379,11 +373,6 @@ def min_weight_max_matching(weights: Union[WeightMatrix, Sequence[Sequence[int]]
     lines = rows if n <= m else tuple(zip(*rows))
     row_of = _match_lines(n, m, [dict(enumerate(line)) for line in lines])
     return Matching((i, j) for j, i in enumerate(row_of) if i >= 0)
-
-
-def matching_weight(weights: Union[WeightMatrix, Sequence[Sequence[int]]], matching: Matching) -> int:
-    rows = weights.weights if isinstance(weights, WeightMatrix) else [tuple(r) for r in weights]
-    return sum(rows[i][j] for i, j in matching)
 
 
 def solve_leximin(instance: Instance) -> Allocation:

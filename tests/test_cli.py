@@ -535,6 +535,18 @@ def test_verify_reduction_eef_unknown_on_tiny_budget(tmp_path, capsys):
     assert entry["template_efficient"] is None
 
 
+def test_verify_reduction_eef_gives_each_pareto_search_the_whole_budget(tmp_path, capsys):
+    # both forall assignments leave the exists block unsatisfiable, so both
+    # templates get a Pareto search, and each spends budget 1 plus the node
+    # that overran it
+    formula = tmp_path / "f.qcnf"
+    formula.write_text("p cnf 2 2\na 1 0\ne 2 0\n2 0\n-2 0\n")
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", "1"])
+    assert code == 2
+    assert report["stats"]["nodes"] == 4
+    assert (report["witness"]["dominance_nodes"], report["witness"]["sat_nodes"]) == (4, 0)
+
+
 def test_empty_forall_exists_formula_exits_3(tmp_path, capsys):
     # the construction's envy lemma needs a clause; augmentation adds one per variable
     formula = tmp_path / "f.qcnf"

@@ -449,6 +449,30 @@ def test_a_long_value_is_echoed_cut_at_every_site(site, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {e.value}\n"
 
 
+# a role or id that the structured-key index echoes, given a 200,000-character one
+LONG_ROLE_SITES = {
+    "agent role": (one_cell(roles={"agents": {"a": LONG}}),
+                   "unknown agent role '" + "x" * 40 + "...'"),
+    "resource role": (one_cell(roles={"resources": {"o": LONG}}),
+                      "unknown resource role '" + "x" * 40 + "...'"),
+    "repeated key": (json.dumps({"kind": "additive", "agents": ["a", LONG], "resources": ["o"],
+                                 "matrix": [[1], [1]],
+                                 "roles": {"agents": {"a": "satisfied", LONG: "satisfied"}}}),
+                     "agent '" + "x" * 40 + "...' repeats the structured key ('satisfied',)"),
+}
+
+
+@pytest.mark.parametrize("site", LONG_ROLE_SITES)
+def test_a_long_role_or_id_is_echoed_cut_by_the_key_index(site, tmp_path, capsys):
+    text, message = LONG_ROLE_SITES[site]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["check-envy", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: document.roles: {message}\n"
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("kind", ["max-atomic", "additive"])
 @pytest.mark.parametrize("cell", ["1/2", "-1/2", -1])
 def test_a_later_short_row_is_reported_after_well_formed_cells(kind, cell):
@@ -461,6 +485,15 @@ def test_a_later_short_row_is_reported_after_well_formed_cells(kind, cell):
         assert str(e.value) == f"document: demands[0][1]: demands must be non-negative, got {cell}"
     else:
         assert parse_instance(two_by_two(kind, cell, [2, 3])).instance.matrix[0][1] == Fraction(cell)
+
+
+@pytest.mark.parametrize("kind", ["max-atomic", "additive"])
+def test_a_malformed_cell_after_a_ratio_in_its_row_is_named_by_its_path(kind):
+    text = json.dumps({"kind": kind, "agents": ["a", "b"], "resources": ["o", "p", "q"],
+                       "matrix": [[1, 2, 3], ["1/2", 4, 0.5]]})
+    with pytest.raises(FormatError) as e:
+        parse_instance(text)
+    assert str(e.value) == 'document.matrix[1][2]: floats are not exact; write rationals as "p/q" strings'
 
 
 def test_an_all_int_document_reads_no_cell_as_a_rational(monkeypatch):

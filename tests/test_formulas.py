@@ -5,15 +5,12 @@ from fairdiv.formulas import (
     clause_status,
     clauses_with_literal,
     formula_satisfied,
-    is_assignment_over,
     literal_holds,
-    literal_variable,
 )
 from fairdiv.model import ContractError
 
 
 def test_literal_helpers():
-    assert literal_variable(-3) == 3
     assert literal_holds(4, True)
     assert literal_holds(-4, False)
     assert not literal_holds(-4, True)
@@ -22,8 +19,6 @@ def test_literal_helpers():
 def test_clauses_are_canonicalized():
     f = CnfFormula(3, [[3, -1, 2], [2, 2, -2]])
     assert f.clauses == ((-1, 2, 3), (-2, 2))
-    assert f.num_clauses == 2
-    assert f.variables() == (1, 2, 3)
 
 
 def test_clause_validation():
@@ -64,14 +59,7 @@ def test_ae_formula_blocks_are_sorted():
 def test_partial_assignment_basics():
     s = PartialAssignment({2: False, 1: True})
     assert s.values == ((1, True), (2, False))
-    assert s.get(1) is True
-    assert s.get(3) is None
     assert s.as_dict() == {1: True, 2: False}
-    assert s.variables() == frozenset({1, 2})
-    assert len(s) == 2
-    extended = s.with_value(3, True)
-    assert extended.get(3) is True
-    assert s.get(3) is None   # original untouched
 
 
 def test_partial_assignment_validation():
@@ -98,10 +86,3 @@ def test_clauses_with_literal_returns_indices():
     assert clauses_with_literal(clauses, 1) == (0, 2)
     assert clauses_with_literal(clauses, -1) == (1,)
     assert clauses_with_literal(clauses, -2) == ()
-
-
-def test_is_assignment_over():
-    s = PartialAssignment({1: True, 2: False})
-    assert is_assignment_over(s, [1, 2])
-    assert not is_assignment_over(s, [1])        # extra variable assigned
-    assert not is_assignment_over(s, [1, 2, 3])  # missing variable

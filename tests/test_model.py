@@ -132,8 +132,7 @@ def test_allocation_validation():
     with pytest.raises(ContractError):
         Allocation([-1])
     alloc = Allocation([None, 0])
-    assert alloc.bundle(0) == (1,)
-    assert alloc.pairs() == ((0, 1),)
+    assert bundles_of(alloc.owner, 1) == [[1]]
 
 
 def test_allocation_must_fit_instance():
@@ -294,12 +293,13 @@ def test_envy_witness_is_valid(case):
         assert is_envy_free(inst, alloc)
     else:
         i, j = pair
-        assert bundle_utility(inst, i, alloc.bundle(j)) > bundle_utility(inst, i, alloc.bundle(i))
+        bundles = bundles_of(alloc.owner, inst.num_agents)
+        assert bundle_utility(inst, i, bundles[j]) > bundle_utility(inst, i, bundles[i])
 
 
 def _envy_by_definition(inst, alloc):
     """The first envious pair by the n^2 bundle_utility double loop."""
-    bundles = [alloc.bundle(i) for i in range(inst.num_agents)]
+    bundles = bundles_of(alloc.owner, inst.num_agents)
     for i in range(inst.num_agents):
         own = bundle_utility(inst, i, bundles[i])
         for j in range(inst.num_agents):
@@ -343,7 +343,7 @@ def _price_by_definition(inst, row, bundle):
 def test_bundle_rule_matches_the_definition(case):
     inst, alloc = case
     n = inst.num_agents
-    bundles = [alloc.bundle(i) for i in range(n)]
+    bundles = bundles_of(alloc.owner, n)
     prices = [[_price_by_definition(inst, row, bundle) for bundle in bundles] for row in inst.matrix]
     for i in range(n):
         for j in range(n):

@@ -36,7 +36,7 @@ from fairdiv import (
     x_forall_assignments,
 )
 from fairdiv.formulas import formula_satisfied
-from fairdiv.model import ContractError
+from fairdiv.model import ContractError, bundles_of
 import fairdiv.oracles
 from fairdiv.oracles import _capped_product, _Counter, _OutOfBudget, _dominator_search
 
@@ -66,7 +66,8 @@ def additive_with_baseline(draw):
 def fraction_dominates(inst, challenger, incumbent):
     """Pareto dominance summed over the Fraction view, apart from the int rows."""
     matrix = inst.matrix
-    u, v = ([sum((matrix[i][j] for j in alloc.bundle(i)), Fraction(0)) for i in range(inst.num_agents)]
+    u, v = ([sum((row[j] for j in bundle), Fraction(0))
+             for row, bundle in zip(matrix, bundles_of(alloc.owner, inst.num_agents))]
             for alloc in (challenger, incumbent))
     return all(a >= b for a, b in zip(u, v)) and any(a > b for a, b in zip(u, v))
 
@@ -110,7 +111,7 @@ def first_leximin_owner(inst):
     before agent 1, whose sorted ``bundle_utility`` vector is largest."""
     n, best, best_key = inst.num_agents, None, None
     for owner in itertools.product((None, *range(n)), repeat=inst.num_resources):
-        key = sorted(bundle_utility(inst, i, Allocation(owner).bundle(i)) for i in range(n))
+        key = sorted(bundle_utility(inst, i, bundle) for i, bundle in enumerate(bundles_of(owner, n)))
         if best_key is None or key > best_key:
             best, best_key = owner, key
     return best
@@ -491,8 +492,7 @@ def test_sat_on_partial_respects_the_fixed_part():
     formula = CnfFormula(2, [[1, 2], [-1, -2]])
     verdict = sat_on_partial(formula, PartialAssignment({1: True}))
     assert verdict.is_yes
-    assert verdict.witness.get(1) is True
-    assert verdict.witness.get(2) is False
+    assert verdict.witness.as_dict() == {1: True, 2: False}
 
 
 def test_sat_on_partial_rejects_unknown_variables():
@@ -546,7 +546,7 @@ def test_sat_on_partial_long_implication_chain():
     assert all(value for _, value in verdict.witness.values)
     assert sat_on_partial(CnfFormula(n, chain + [[1], [-n]])).is_no
     # no unit clause: the search branches, and x1 = False satisfies it at once
-    assert sat_on_partial(CnfFormula(n, chain + [[-n]])).witness.get(1) is False
+    assert sat_on_partial(CnfFormula(n, chain + [[-n]])).witness.as_dict()[1] is False
 
 
 @given(clauses4, st.dictionaries(st.integers(1, 4), st.booleans(), max_size=2))
@@ -554,7 +554,7 @@ def test_sat_on_partial_long_implication_chain():
 def test_sat_on_partial_matches_truth_table(clauses, fixed):
     formula = CnfFormula(4, clauses)
     s = PartialAssignment(fixed)
-    free = [v for v in formula.variables() if v not in fixed]
+    free = [v for v in range(1, formula.num_vars + 1) if v not in fixed]
     expected = any(
         formula_satisfied(formula.clauses, {**fixed, **dict(zip(free, bits))})
         for bits in itertools.product((False, True), repeat=len(free)))

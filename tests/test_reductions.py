@@ -31,7 +31,7 @@ from fairdiv import (
     x_forall_allocation_family,
     x_forall_assignments,
 )
-from fairdiv.model import Additive, ContractError, Instance
+from fairdiv.model import Additive, ContractError, Instance, bundles_of
 from fairdiv.reductions import _GadgetBuilder
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
@@ -147,7 +147,7 @@ def test_gadget_builder_rejects_a_repeated_structured_key():
 def test_po_reduction_size_identities(clauses):
     formula = CnfFormula(4, clauses)
     reduction = reduce_3cnf_to_po(formula)
-    w, wp = formula.num_vars, formula.num_clauses
+    w, wp = formula.num_vars, len(formula.clauses)
     occurrences = sum(len(c) for c in formula.clauses)
     assert reduction.instance.num_agents == 2 * w + wp + 2
     assert reduction.instance.num_resources == w + wp + occurrences + 1
@@ -271,7 +271,7 @@ def test_eef_reduction_size_identities(clauses, forall):
     formula, _ = augment_both_polarities(AEFormula(4, sorted(forall), exists, clauses))
     reduction = reduce_ae3cnf_to_eef(formula)
     n_forall, n_exists = len(formula.forall_vars), len(formula.exists_vars)
-    n_clauses = formula.num_clauses
+    n_clauses = len(formula.clauses)
     total_lits = sum(len(c) for c in formula.clauses)
     forall_lits = sum(
         1 for c in formula.clauses for lit in c if abs(lit) in forall)
@@ -316,7 +316,8 @@ def test_template_unassigned_bundle_contents():
         mapping.resource("var_comp", 1),
         mapping.resource("envy1"),
     }
-    assert set(template.bundle(mapping.agent("unassigned"))) == expected
+    bundles = bundles_of(template.owner, reduction.instance.num_agents)
+    assert set(bundles[mapping.agent("unassigned")]) == expected
 
 
 def test_template_rejects_wrong_assignments():
@@ -325,6 +326,15 @@ def test_template_rejects_wrong_assignments():
         build_x_forall_allocation(reduction, PartialAssignment({2: True}))
     with pytest.raises(ContractError):
         build_x_forall_allocation(reduction, PartialAssignment({1: True, 2: True}))
+
+
+def test_template_needs_exactly_the_forall_variables():
+    reduction = reduce_ae3cnf_to_eef(augment_both_polarities(
+        AEFormula(3, [1, 2], [3], [[1, 2, 3], [-1, -2, -3]]))[0])
+    build_x_forall_allocation(reduction, PartialAssignment({1: True, 2: False}))
+    for values in ({1: True}, {1: True, 2: False, 3: True}):    # missing, extra variable
+        with pytest.raises(ContractError, match="^s must assign exactly the forall variables$"):
+            build_x_forall_allocation(reduction, PartialAssignment(values))
 
 
 def test_template_builder_rejects_a_mapping_that_leaves_a_resource_unowned():

@@ -22,7 +22,6 @@ from fairdiv import (
     decide_lmmuab,
     generate_weights,
     leximin_compare,
-    matching_weight,
     max_atomic_instance,
     min_weight_max_matching,
     parse_instance,
@@ -183,11 +182,6 @@ def test_matching_examples():
     assert min_weight_max_matching([[3, 5]]).pairs == ((0, 0),)
 
 
-def test_matching_weight_helper():
-    matching = min_weight_max_matching([[1, 2], [2, 1]])
-    assert matching_weight([[1, 2], [2, 1]], matching) == 2
-
-
 def test_matching_validation():
     with pytest.raises(ContractError):
         Matching(((0, 0), (0, 1)))   # agent used twice
@@ -233,7 +227,7 @@ def brute_minimum_weight(rows):
 def test_square_matching_is_optimal(rows):
     weight, pairs = brute_minimum_weight(rows)
     matching = min_weight_max_matching(rows)
-    assert matching_weight(rows, matching) == weight
+    assert sum(rows[i][j] for i, j in matching.pairs) == weight
     assert matching.pairs == pairs
 
 
@@ -245,7 +239,7 @@ def test_rectangular_matching_is_optimal(n, m, data):
     weight, pairs = brute_minimum_weight(rows)
     matching = min_weight_max_matching(rows)
     assert len(matching.pairs) == min(n, m)
-    assert matching_weight(rows, matching) == weight
+    assert sum(rows[i][j] for i, j in matching.pairs) == weight
     assert matching.pairs == pairs
 
 
