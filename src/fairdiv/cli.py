@@ -22,7 +22,7 @@ from .formats import (FormatError, InstanceDocument, allocation_to_json,
                       report_to_json, serialize_instance, sha256_digest,
                       utilities_to_json)
 from .model import ContractError, UtilityVector, dominates, find_envy, utility_vector
-from .oracles import (DEFAULT_BUDGET, SearchBudget, brute_force_eef,
+from .oracles import (DEFAULT_BUDGET, SearchBudget, TriVerdict, brute_force_eef,
                       find_dominating_allocation, is_pareto_optimal,
                       sat_on_partial)
 from .reductions import (augment_both_polarities, build_x_forall_allocation,
@@ -204,7 +204,10 @@ def _verify_eef(args, text: str):
             sound = sound and entry["improvement_construction_checked"]
             entry["template_efficient"] = False
         else:
-            certified = find_dominating_allocation(reduction.instance, template, budget)
+            # each search gets what the earlier ones left of the one budget; none starts once it is spent
+            left = budget.max_nodes - dominance_nodes
+            certified = (find_dominating_allocation(reduction.instance, template, SearchBudget(left))
+                         if left > 0 else TriVerdict.unknown())
             dominance_nodes += certified.nodes
             if certified.is_unknown:
                 unknown = True

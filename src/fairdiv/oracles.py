@@ -158,7 +158,10 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     It also dies when the welfare bound fails: a dominator's utilities sum
     to at least sum(base) + 1, and a node can reach at most the takers'
     cells of its placed columns plus ``colmax[j]``, the largest cell, of
-    each unplaced one; ``slack`` is that bound less sum(base) + 1.
+    each unplaced one; ``slack`` is that bound less sum(base) + 1.  An
+    unplaced column with a single violator v (see below) can only go to v,
+    so it is worth ``rows[v][j]``, not ``colmax[j]``; ``tight`` sums that
+    shortfall over those columns, and the node dies when ``slack < tight``.
 
     Branching: an agent i with a positive cell c in column j is a violator
     of j while ``gap[i] < c``, since i cannot afford to lose j.  So the
@@ -175,39 +178,59 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     node costs work in proportion to the gaps it moves:
     - per agent, its positive cells sorted by coefficient, and ``top[i]``,
       how many of them it can still afford (coefficient <= ``gap[i]``);
-    - ``viol[j]``, the violator count of each column;
+    - ``viol[j]``, the violator count of each unplaced column, and
+      ``vsum[j]``, the sum of its violators' indices (the violator itself
+      when there is one); a placed column keeps both as they were when it
+      was placed, which is what taking the placement back restores;
     - ``positive``, the number of agents whose gap is above 0;
-    - ``slack``, the welfare bound's margin;
+    - ``slack`` and ``tight``, the welfare bound's margin and the part of
+      it the single-violator columns must give up;
     - ``crit``, the unplaced critical columns.
 
-    ``order``, the columns with a positive cell sorted by their number of
-    positive agents (ties in index order), is fixed before the search; a
-    column is unplaced exactly when its ``owner`` is None.
+    The per-agent cells and the per-column positive agents (``pos``) are
+    read off each row's nonzero cells, so a sparse gadget costs its nonzero
+    cells, not n·m, to set up.  ``order``, the columns with a positive cell
+    sorted by their number of positive agents (ties in index order), is
+    fixed before the search; a column is unplaced exactly when its
+    ``owner`` is None.
     """
     from bisect import bisect_right        # here, so loading the module imports nothing more
-    pos: list[list[tuple[int, int]]] = [
-        [(i, c) for i, c in enumerate(column) if c > 0] for column in zip(*rows)]
-    m = len(pos)
+    m = len(rows[0]) if rows else 0
+    pos: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    col: list[list[int]] = []
+    coef: list[list[int]] = []
+    for i, row in enumerate(rows):
+        ks = [j for j in itertools.compress(range(m), row) if row[j] > 0]
+        for j in ks:
+            pos[j].append((i, row[j]))
+        ks.sort(key=row.__getitem__)             # stable: ties stay in column order
+        col.append(ks)
+        coef.append([row[j] for j in ks])
     size = [len(column) for column in pos]
-    cells = [sorted((c, j) for j, c in enumerate(row) if c > 0) for row in rows]
-    coef = [[c for c, _ in incident] for incident in cells]
-    col = [[j for _, j in incident] for incident in cells]
     gap = [sum(cs) - b for cs, b in zip(coef, base)]
     top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
     viol = [0] * m
-    for ks, t in zip(col, top):
+    vsum = [0] * m
+    for i, (ks, t) in enumerate(zip(col, top)):
         for k in ks[t:]:
             viol[k] += 1
+            vsum[k] += i
     positive = sum(g > 0 for g in gap)
     colmax = [max((c for _, c in column), default=0) for column in pos]
     slack = sum(colmax) - sum(base) - 1
+    tight = sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1)
     crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
     order = sorted((j for j in range(m) if size[j]), key=size.__getitem__)
+    rank = [0] * m
+    for r, j in enumerate(order):
+        rank[j] = r
     owner: list[Optional[int]] = [None] * m
 
     def drain(j: int, taker: int) -> None:
         """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
-        nonlocal positive, slack
+        nonlocal positive, slack, tight
+        if viol[j] == 1:                         # j leaves the single-violator columns
+            tight -= colmax[j] - rows[vsum[j]][j]
         for i, c in pos[j]:
             if i == taker:
                 slack += c - colmax[j]
@@ -221,13 +244,19 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
             if t and cs[t - 1] > new:            # some cells of i just became unaffordable
                 lo = top[i] = bisect_right(cs, new, 0, t - 1)
                 for k in col[i][lo:t]:
-                    viol[k] += 1
                     if owner[k] is None:         # k is unplaced
+                        had = viol[k]
+                        viol[k] = had + 1
+                        vsum[k] += i
                         crit.add(k)
+                        if had == 0:             # i is its single violator
+                            tight += colmax[k] - rows[i][k]
+                        elif had == 1:           # its single violator is one of two
+                            tight -= colmax[k] - rows[vsum[k] - i][k]
 
     def refill(j: int, taker: int) -> None:
         """Take back the placement of column ``j`` on ``taker``."""
-        nonlocal positive, slack
+        nonlocal positive, slack, tight
         for i, c in pos[j]:
             if i == taker:
                 slack -= c - colmax[j]
@@ -241,43 +270,61 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
             if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
                 hi = top[i] = bisect_right(cs, new, t + 1)
                 for k in col[i][t:hi]:
-                    viol[k] -= 1
-                    if not viol[k] and size[k] > 1:
-                        crit.discard(k)
+                    if owner[k] is None:         # k is unplaced
+                        left = viol[k] = viol[k] - 1
+                        vsum[k] -= i
+                        if left == 0:            # i was its single violator
+                            tight -= colmax[k] - rows[i][k]
+                            if size[k] > 1:
+                                crit.discard(k)
+                        elif left == 1:          # the other violator is now single
+                            tight += colmax[k] - rows[vsum[k]][k]
+        if viol[j] == 1:                         # j rejoins the single-violator columns
+            tight += colmax[j] - rows[vsum[j]][j]
 
     # per placed column, innermost last: (column, its candidates not yet tried);
     # an explicit stack, so the depth is not bounded by Python's recursion limit
     stack: list[tuple[int, Iterator[int]]] = []
-    while True:
-        counter.spend()                          # a node: the placements on the stack
-        if positive and slack >= 0:              # else nobody, or not the sum, can still beat baseline
-            if len(stack) == len(order):         # the stack holds every placed column
-                return list(owner)
-            if crit:                             # dead, or its one violator or positive agent
-                j = min(crit)
-                column = pos[j]
-                cands = [] if viol[j] > 1 else [
-                    next((i for i, c in column if gap[i] < c), column[0][0])]
+    nodes, limit = counter.used, counter.limit
+    cursor = 0                                   # every column of order[:cursor] is placed
+    try:
+        while True:
+            nodes += 1                           # a node: the placements on the stack
+            if nodes > limit:
+                raise _OutOfBudget
+            if positive and slack >= tight:      # else nobody, or not the sum, can still beat baseline
+                if len(stack) == len(order):     # the stack holds every placed column
+                    return list(owner)
+                if crit:                         # dead, or its one violator or positive agent
+                    j = min(crit)
+                    column = pos[j]
+                    cands = [] if viol[j] > 1 else [
+                        next((i for i, c in column if gap[i] < c), column[0][0])]
+                else:
+                    while owner[order[cursor]] is not None:
+                        cursor += 1
+                    j = order[cursor]
+                    cands = [i for i, _ in pos[j]]
+                if cands:
+                    crit.discard(j)
+                    stack.append((j, iter(cands)))
+            # place the next candidate of the innermost column that has one left
+            while stack:
+                j, untried = stack[-1]
+                if owner[j] is not None:         # take back the placement tried last
+                    refill(j, owner[j])
+                owner[j] = next(untried, None)
+                if owner[j] is not None:
+                    drain(j, owner[j])
+                    break
+                stack.pop()
+                cursor = min(cursor, rank[j])
+                if viol[j] or size[j] == 1:
+                    crit.add(j)
             else:
-                j = next(j for j in order if owner[j] is None)
-                cands = [i for i, _ in pos[j]]
-            if cands:
-                crit.discard(j)
-                stack.append((j, iter(cands)))
-        # place the next candidate of the innermost column that has one left
-        while stack:
-            j, untried = stack[-1]
-            if owner[j] is not None:             # take back the placement tried last
-                refill(j, owner[j])
-            owner[j] = next(untried, None)
-            if owner[j] is not None:
-                drain(j, owner[j])
-                break
-            stack.pop()
-            if viol[j] or size[j] == 1:
-                crit.add(j)
-        else:
-            return None
+                return None
+    finally:
+        counter.used = nodes
 
 
 def find_dominating_allocation(instance: Instance, baseline: Allocation,

@@ -535,16 +535,23 @@ def test_verify_reduction_eef_unknown_on_tiny_budget(tmp_path, capsys):
     assert entry["template_efficient"] is None
 
 
-def test_verify_reduction_eef_gives_each_pareto_search_the_whole_budget(tmp_path, capsys):
+def test_verify_reduction_eef_shares_one_budget_across_its_pareto_searches(tmp_path, capsys):
     # both forall assignments leave the exists block unsatisfiable, so both
-    # templates get a Pareto search, and each spends budget 1 plus the node
-    # that overran it
+    # templates need a Pareto search; the first spends budget 1 plus the node
+    # that overran it, and the second never starts
     formula = tmp_path / "f.qcnf"
     formula.write_text("p cnf 2 2\na 1 0\ne 2 0\n2 0\n-2 0\n")
     code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", "1"])
     assert code == 2
-    assert report["stats"]["nodes"] == 4
-    assert (report["witness"]["dominance_nodes"], report["witness"]["sat_nodes"]) == (4, 0)
+    assert report["stats"]["nodes"] == 2
+    assert (report["witness"]["dominance_nodes"], report["witness"]["sat_nodes"]) == (2, 0)
+    assert [entry["template_efficient"] for entry in report["witness"]["assignments"]] == [None, None]
+    # the first search takes 25 nodes and 50 decide both; the second gets what is left
+    for budget, exit_code, nodes, efficient in ((25, 2, 25, [True, None]), (30, 2, 31, [True, None]),
+                                                (50, 0, 50, [True, True])):
+        code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", str(budget)])
+        assert (code, report["stats"]["nodes"]) == (exit_code, nodes)
+        assert [entry["template_efficient"] for entry in report["witness"]["assignments"]] == efficient
 
 
 def test_empty_forall_exists_formula_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,105 @@ def previous_shift(gap, column, owner, sign):
             gap[i] += sign * c
 
 
+# The search as it was with the welfare bound but before single-violator
+# columns were priced at their forced owner's cell: a node died when
+# ``slack < 0``.  Kept here as the reference for node counts.
+
+def slack_bound_dominator_search(rows, base, counter):
+    pos = [[(i, c) for i, c in enumerate(column) if c > 0] for column in zip(*rows)]
+    m = len(pos)
+    size = [len(column) for column in pos]
+    cells = [sorted((c, j) for j, c in enumerate(row) if c > 0) for row in rows]
+    coef = [[c for c, _ in incident] for incident in cells]
+    col = [[j for _, j in incident] for incident in cells]
+    gap = [sum(cs) - b for cs, b in zip(coef, base)]
+    top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
+    viol = [0] * m
+    for ks, t in zip(col, top):
+        for k in ks[t:]:
+            viol[k] += 1
+    positive = sum(g > 0 for g in gap)
+    colmax = [max((c for _, c in column), default=0) for column in pos]
+    slack = sum(colmax) - sum(base) - 1
+    crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
+    order = sorted((j for j in range(m) if size[j]), key=size.__getitem__)
+    owner = [None] * m
+
+    def drain(j, taker):
+        """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
+        nonlocal positive, slack
+        for i, c in pos[j]:
+            if i == taker:
+                slack += c - colmax[j]
+                continue
+            old = gap[i]
+            new = gap[i] = old - c
+            if old > 0 >= new:
+                positive -= 1
+            t = top[i]
+            cs = coef[i]
+            if t and cs[t - 1] > new:            # some cells of i just became unaffordable
+                lo = top[i] = bisect_right(cs, new, 0, t - 1)
+                for k in col[i][lo:t]:
+                    viol[k] += 1
+                    if owner[k] is None:         # k is unplaced
+                        crit.add(k)
+
+    def refill(j, taker):
+        """Take back the placement of column ``j`` on ``taker``."""
+        nonlocal positive, slack
+        for i, c in pos[j]:
+            if i == taker:
+                slack -= c - colmax[j]
+                continue
+            old = gap[i]
+            new = gap[i] = old + c
+            if old <= 0 < new:
+                positive += 1
+            t = top[i]
+            cs = coef[i]
+            if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
+                hi = top[i] = bisect_right(cs, new, t + 1)
+                for k in col[i][t:hi]:
+                    viol[k] -= 1
+                    if not viol[k] and size[k] > 1:
+                        crit.discard(k)
+
+    # per placed column, innermost last: (column, its candidates not yet tried);
+    # an explicit stack, so the depth is not bounded by Python's recursion limit
+    stack = []
+    while True:
+        counter.spend()                          # a node: the placements on the stack
+        if positive and slack >= 0:              # else nobody, or not the sum, can still beat baseline
+            if len(stack) == len(order):         # the stack holds every placed column
+                return list(owner)
+            if crit:                             # dead, or its one violator or positive agent
+                j = min(crit)
+                column = pos[j]
+                cands = [] if viol[j] > 1 else [
+                    next((i for i, c in column if gap[i] < c), column[0][0])]
+            else:
+                j = next(j for j in order if owner[j] is None)
+                cands = [i for i, _ in pos[j]]
+            if cands:
+                crit.discard(j)
+                stack.append((j, iter(cands)))
+        # place the next candidate of the innermost column that has one left
+        while stack:
+            j, untried = stack[-1]
+            if owner[j] is not None:             # take back the placement tried last
+                refill(j, owner[j])
+            owner[j] = next(untried, None)
+            if owner[j] is not None:
+                drain(j, owner[j])
+                break
+            stack.pop()
+            if viol[j] or size[j] == 1:
+                crit.add(j)
+        else:
+            return None
+
+
 @st.composite
 def search_inputs(draw):
     """Int rows with negative, zero and positive cells (some columns dense
@@ -314,14 +414,26 @@ def run_search(search, rows, base, limit):
 @settings(max_examples=400)
 def test_search_never_visits_more_nodes_than_the_previous_search(case):
     # the welfare bound only cuts subtrees the copy walks, in the copy's node
-    # order, and never one that holds a dominator: whenever the copy finishes
-    # with None or a dominator, the search gives the same result.  (On a base
-    # shifted off every allocation the copy may return a non-dominator, which
-    # the bound can cut.)
+    # order, and never one that holds a dominator
+    assert_no_more_nodes_and_same_result(previous_dominator_search, case)
+
+
+@given(search_inputs())
+@settings(max_examples=400)
+def test_search_never_visits_more_nodes_than_the_slack_bound_search(case):
+    # pricing a single-violator column at its violator's cell cuts only
+    # subtrees that hold no dominator, and keeps the copy's node order
+    assert_no_more_nodes_and_same_result(slack_bound_dominator_search, case)
+
+
+def assert_no_more_nodes_and_same_result(reference, case):
+    """The search visits at most the reference's nodes, and whenever the
+    reference finishes with None or a dominator, gives the same result.
+    (On a base shifted off every allocation the reference may return a
+    non-dominator, which the bound can cut.)"""
     rows, base, limit = case
     owner, out_of_budget, used = run_search(_dominator_search, rows, base, limit)
-    previous_owner, previous_out_of_budget, previous_used = run_search(
-        previous_dominator_search, rows, base, limit)
+    previous_owner, previous_out_of_budget, previous_used = run_search(reference, rows, base, limit)
     assert used <= previous_used
     if not previous_out_of_budget and (previous_owner is None
                                        or owner_dominates(rows, previous_owner, base)):
@@ -353,7 +465,7 @@ def test_pinned_search_on_a_satisfiable_gadget():
     reduction = reduce_3cnf_to_po(formula)
     verdict = find_dominating_allocation(reduction.instance, reduction.baseline)
     assert verdict.is_yes
-    assert verdict.nodes == 73
+    assert verdict.nodes == 43
     assert verdict.witness.owner == (6, 8, 11, 12, 14, 17, 17, 17, 17, 17, 17, 0, 0, 0, 7,
                                      10, 1, 2, 13, 2, 9, 3, 15, 4, 13, 15, 7, 9, 5, 16)
 
@@ -363,7 +475,7 @@ def test_pinned_search_on_a_blocked_gadget():
     reduction = reduce_3cnf_to_po(formula)
     verdict = find_dominating_allocation(reduction.instance, reduction.baseline)
     assert verdict.is_no
-    assert verdict.nodes == 13
+    assert verdict.nodes == 9
 
 
 def test_pinned_eef_search():
