@@ -297,9 +297,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
                     return list(owner)
                 if crit:                         # dead, or its one violator or positive agent
                     j = min(crit)
-                    column = pos[j]
-                    cands = [] if viol[j] > 1 else [
-                        next((i for i, c in column if gap[i] < c), column[0][0])]
+                    cands = [] if viol[j] > 1 else [vsum[j] if viol[j] else pos[j][0][0]]
                 else:
                     while owner[order[cursor]] is not None:
                         cursor += 1
