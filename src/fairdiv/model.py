@@ -282,8 +282,7 @@ class UtilityVector:
 
 def bundle_totals(utilities: UtilitySpec, bundles: Sequence[Sequence[int]]) -> list[int]:
     """Each agent's own bundle priced by its row under the model's
-    ``total``: agent i's utility, times the scale.  The envy kernel,
-    ``envy_in_rows``, prices every bundle by every row itself."""
+    ``total``: agent i's utility, times the scale."""
     total = utilities.total
     return [total(map(row.__getitem__, bundle)) for row, bundle in zip(utilities.rows, bundles)]
 
@@ -325,21 +324,31 @@ def leximin_compare(left: UtilityVector, right: UtilityVector) -> Ordering:
     return Ordering.EQUAL
 
 
-def envy_in_rows(utilities: UtilitySpec, bundles: Sequence[Sequence[int]],
+def envy_in_rows(utilities: UtilitySpec, owner: Sequence[Optional[int]],
                  patches: Sequence[Sequence[tuple[int, int, int]]] = ()) -> Optional[tuple[int, int]]:
-    """The integer kernel of ``find_envy``: each row prices every bundle in
-    one pass by the model's ``total``, agents in order.  For additive
-    utilities, each patch f (a list of ``(resource, from agent, to agent)``
-    moves, no resource in two patches) adds its own term Δ_f(i, k) to i's
-    envy of k, so i's largest envy of k over the allocations with any subset
-    of the patches applied is its envy under ``bundles`` plus every positive
-    Δ_f(i, k)."""
-    if patches and not isinstance(utilities, Additive):
+    """The integer kernel of ``find_envy``, on an owner vector that fits
+    ``utilities``: each row makes one pass over the allocated cells, adding
+    each into its owner's bundle value by the model's rule (a sum, or a max
+    for max-atomic utilities; a zero cell changes neither), agents in order.
+    For additive utilities, each patch f (a list of ``(resource, from
+    agent, to agent)`` moves, no resource in two patches) adds its own term
+    Δ_f(i, k) to i's envy of k, so i's largest envy of k over the
+    allocations with any subset of the patches applied is its envy under
+    ``owner`` plus every positive Δ_f(i, k)."""
+    additive = isinstance(utilities, Additive)
+    if patches and not additive:
         raise WrongUtilityKind("the envy of a template family is in closed form only for additive utilities")
-    total = utilities.total
+    n = len(utilities.rows)
     for i, row in enumerate(utilities.rows):
-        price = row.__getitem__
-        values = [total(map(price, bundle)) for bundle in bundles]
+        values = [0] * n                         # i's value of each agent's bundle
+        if additive:
+            for c, k in zip(row, owner):
+                if c and k is not None:
+                    values[k] += c
+        else:
+            for c, k in zip(row, owner):
+                if k is not None and c > values[k]:
+                    values[k] = c
         own = values[i]
         for moves in patches:
             delta = defaultdict(int)             # the patch's change to i's value of each bundle
@@ -360,7 +369,7 @@ def find_envy(instance: Instance, allocation: Allocation,
     own, or None if the allocation is envy-free; with ``patches``, the first
     such pair in any allocation that applies a subset of them."""
     check_allocation(instance, allocation)
-    return envy_in_rows(instance.utilities, bundles_of(allocation.owner, instance.num_agents), patches)
+    return envy_in_rows(instance.utilities, allocation.owner, patches)
 
 
 def is_envy_free(instance: Instance, allocation: Allocation) -> bool:

@@ -199,10 +199,14 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     pos: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     col: list[list[int]] = []
     coef: list[list[int]] = []
+    colmax = [0] * m
     for i, row in enumerate(rows):
         ks = [j for j in itertools.compress(range(m), row) if row[j] > 0]
         for j in ks:
-            pos[j].append((i, row[j]))
+            c = row[j]
+            pos[j].append((i, c))
+            if c > colmax[j]:
+                colmax[j] = c
         ks.sort(key=row.__getitem__)             # stable: ties stay in column order
         col.append(ks)
         coef.append([row[j] for j in ks])
@@ -216,7 +220,6 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
             viol[k] += 1
             vsum[k] += i
     positive = sum(g > 0 for g in gap)
-    colmax = [max((c for _, c in column), default=0) for column in pos]
     slack = sum(colmax) - sum(base) - 1
     tight = sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1)
     crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
@@ -385,28 +388,36 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     """Search for an allocation that is simultaneously envy-free and
     Pareto-optimal.
 
-    By default every (n+1)^m allocation is considered; ``candidates``
-    restricts the search to an explicit family (then the verdict is relative
-    to that family).  Envy-freeness is checked first since it needs no
-    search; Pareto-optimality of each envy-free candidate is then certified
-    against the full allocation space.  A single node budget covers the
-    outer enumeration and all inner certification searches.
+    By default it enumerates only the allocations Pareto-optimality allows:
+    each column with a positive cell on one of its positive agents, any
+    other on nobody or on an agent that values it at 0.  Any other
+    allocation is dominated (hand the column to a positive agent, or drop it
+    from an owner who values it below 0).  Each column's owners keep the
+    order of the full (n+1)^m enumeration, nobody first, so the first
+    witness is that enumeration's.  ``candidates`` restricts the search to
+    an explicit family instead (then the verdict is relative to that family).
+    Envy-freeness is checked first since it needs no search;
+    Pareto-optimality of each envy-free candidate is then certified against
+    the full allocation space.  A single node budget covers the outer
+    enumeration and all inner certification searches.
     """
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
     utilities = instance.utilities
-    n, m = instance.num_agents, instance.num_resources
-    # owner vectors, explicit candidates checked as they are drawn; an Allocation only for the witness
-    owner_vectors = itertools.product((None, *range(n)), repeat=m) if candidates is None else (
-        c.owner for c in candidates if check_allocation(instance, c) is None)
+    rows, n = utilities.rows, instance.num_agents
+    if candidates is None:
+        owners_of = [[i for i, c in enumerate(column) if c > 0]
+                     or [None, *(i for i, c in enumerate(column) if c == 0)] for column in zip(*rows)]
+        owner_vectors = itertools.product(*owners_of)
+    else:          # checked as they are drawn; an Allocation only for the witness
+        owner_vectors = (c.owner for c in candidates if check_allocation(instance, c) is None)
     try:
         for owners in owner_vectors:
             counter.spend()
-            bundles = bundles_of(owners, n)
-            if envy_in_rows(utilities, bundles) is not None:
+            if envy_in_rows(utilities, owners) is not None:
                 continue
-            if _dominator_search(utilities.rows, bundle_totals(utilities, bundles), counter) is None:
+            if _dominator_search(rows, bundle_totals(utilities, bundles_of(owners, n)), counter) is None:
                 return TriVerdict.yes(Allocation(owners), counter.used)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)

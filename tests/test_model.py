@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (
@@ -379,8 +379,26 @@ def test_envy_in_family_is_the_first_envy_of_any_member(case):
                 member[j] = to
         pairs.append(find_envy(inst, Allocation(member)))
     expected = min((p for p in pairs if p is not None), default=None)
-    bundles = bundles_of(owner, inst.num_agents)
-    assert envy_in_rows(inst.utilities, bundles, patches) == expected
+    assert envy_in_rows(inst.utilities, owner, patches) == expected
+
+
+@st.composite
+def small_cells_with_owner(draw):
+    """An additive instance with cells -2..2 or a max-atomic one with
+    demands 0..2, so zero cells are common, and a partial owner vector."""
+    additive = draw(st.booleans())
+    matrix = draw(small_matrix(st.integers(-2 if additive else 0, 2), max_n=4, max_m=6))
+    inst = (additive_instance if additive else max_atomic_instance)(matrix)
+    owner = draw(st.lists(st.one_of(st.none(), st.integers(0, inst.num_agents - 1)),
+                          min_size=inst.num_resources, max_size=inst.num_resources))
+    return inst, owner
+
+
+@given(small_cells_with_owner())
+@settings(max_examples=400)
+def test_envy_in_rows_on_an_owner_vector_matches_bundle_utility(case):
+    inst, owner = case
+    assert envy_in_rows(inst.utilities, owner) == _envy_by_definition(inst, Allocation(owner))
 
 
 def test_envy_in_family_needs_additive_utilities():
@@ -393,7 +411,7 @@ def test_envy_in_rows_without_patches_takes_max_atomic_utilities():
     inst = max_atomic_instance([[1, 2], [2, 1]])
     pairs = set()
     for owner in itertools.product((None, 0, 1), repeat=2):
-        pair = envy_in_rows(inst.utilities, bundles_of(owner, 2))
+        pair = envy_in_rows(inst.utilities, owner)
         assert pair == find_envy(inst, Allocation(owner))
         pairs.add(pair)
     assert pairs == {None, (0, 1), (1, 0)}

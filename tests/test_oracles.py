@@ -37,9 +37,9 @@ from fairdiv import (
     x_forall_assignments,
 )
 from fairdiv.formulas import formula_satisfied
-from fairdiv.model import ContractError, bundles_of
+from fairdiv.model import ContractError, bundles_of, find_envy, scaled_utilities
 import fairdiv.oracles
-from fairdiv.oracles import _capped_product, _Counter, _OutOfBudget, _dominator_search
+from fairdiv.oracles import DEFAULT_BUDGET, TriVerdict, _capped_product, _Counter, _OutOfBudget, _dominator_search
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -481,11 +481,11 @@ def test_pinned_search_on_a_blocked_gadget():
 def test_pinned_eef_search():
     verdict = brute_force_eef(additive_instance([[2, -1, 3, 0], [1, 2, 0, 1], [0, 1, 2, 2]]))
     assert verdict.is_yes
-    assert verdict.nodes == 125
+    assert verdict.nodes == 3
     assert verdict.witness.owner == (0, 1, 0, 2)
     verdict = brute_force_eef(additive_instance([[1] * 4] * 3))
     assert verdict.is_no
-    assert verdict.nodes == 405
+    assert verdict.nodes == 81
 
 
 def test_pinned_search_on_a_heavy_tail_formula():
@@ -545,13 +545,43 @@ def test_eef_with_negative_coefficients_may_need_padding():
     """The only EEF allocation here parks a worthless-to-the-owner resource
     on the second agent's bundle, purely to kill the first agent's envy.
     A search that never places a resource with a non-positive coefficient
-    would miss it, so the default mode must consider every allocation."""
+    would miss it; the default mode's zero-valued owner option keeps it."""
     inst = additive_instance([[1, -3], [2, 0]])
     verdict = brute_force_eef(inst)
     assert verdict.is_yes
     assert verdict.witness.owner == (1, 1)
     assert is_envy_free(inst, verdict.witness)
     assert is_pareto_optimal(inst, verdict.witness).is_yes
+
+
+def eef_over_every_allocation(inst):
+    """The EEF search over all (n+1)^m owner vectors in lexicographic
+    order, unallocated before agent 0 before agent 1: each one is a node,
+    and an envy-free one is certified by the Pareto search on the same
+    node meter."""
+    counter = _Counter(DEFAULT_BUDGET)
+    try:
+        for owner in itertools.product((None, *range(inst.num_agents)), repeat=inst.num_resources):
+            counter.spend()
+            alloc = Allocation(owner)
+            if find_envy(inst, alloc) is None and _dominator_search(
+                    inst.utilities.rows, scaled_utilities(inst, alloc), counter) is None:
+                return TriVerdict.yes(alloc, counter.used)
+    except _OutOfBudget:
+        return TriVerdict.unknown(counter.used)
+    return TriVerdict.no(counter.used)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.integers(0, 5).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-2, 3), min_size=m, max_size=m), min_size=n, max_size=n))))
+@settings(max_examples=150)
+def test_eef_search_over_the_pareto_owners_matches_every_allocation(matrix):
+    inst = additive_instance(matrix)
+    full = eef_over_every_allocation(inst)
+    verdict = brute_force_eef(inst)
+    assert verdict.kind == full.kind
+    assert verdict.witness == full.witness
+    assert verdict.nodes <= full.nodes
 
 
 def test_eef_certifies_a_candidate_deeper_than_the_recursion_limit():
