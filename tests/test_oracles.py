@@ -37,7 +37,7 @@ from fairdiv import (
     x_forall_assignments,
 )
 from fairdiv.formulas import formula_satisfied
-from fairdiv.model import ContractError, bundles_of, find_envy, scaled_utilities
+from fairdiv.model import ContractError, bundles_of, scaled_utilities
 import fairdiv.oracles
 from fairdiv.oracles import DEFAULT_BUDGET, TriVerdict, _capped_product, _Counter, _OutOfBudget, _dominator_search
 
@@ -564,7 +564,7 @@ def eef_over_every_allocation(inst):
         for owner in itertools.product((None, *range(inst.num_agents)), repeat=inst.num_resources):
             counter.spend()
             alloc = Allocation(owner)
-            if find_envy(inst, alloc) is None and _dominator_search(
+            if is_envy_free(inst, alloc) and _dominator_search(
                     inst.utilities.rows, scaled_utilities(inst, alloc), counter) is None:
                 return TriVerdict.yes(alloc, counter.used)
     except _OutOfBudget:
