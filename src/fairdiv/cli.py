@@ -54,7 +54,11 @@ def _read(path: str) -> tuple[str, str]:
 
 
 def _budget(args) -> SearchBudget:
-    return DEFAULT_BUDGET if args.budget is None else SearchBudget(args.budget)
+    if args.budget is None:
+        return DEFAULT_BUDGET
+    if args.budget <= 0:                 # argparse has made it an int
+        raise ContractError(f"--budget: expected a positive int, got {args.budget}")
+    return SearchBudget(args.budget)
 
 
 def _require_allocation(doc: InstanceDocument):

@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Union
 
 from .model import (UTILITY_MODELS, Allocation, ContractError, Instance,
-                    Rational, UtilityVector, _shown)
+                    Rational, Record, UtilityVector, _shown)
 from .formulas import AEFormula, CnfFormula
 from .reductions import ROLES, ReductionMap
 
@@ -81,14 +80,15 @@ def rational_from_text(token: str) -> Rational:
 # ---------------------------------------------------------------------------
 # instance documents
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(Record):
     """An instance, optionally bundled with an allocation and the reduction
     role annotations."""
 
-    instance: Instance
-    allocation: Optional[Allocation] = None
-    mapping: Optional[ReductionMap] = None
+    __slots__ = ("instance", "allocation", "mapping")
+
+    def __init__(self, instance: Instance, allocation: Optional[Allocation] = None,
+                 mapping: Optional[ReductionMap] = None):
+        super().__init__(instance, allocation, mapping)
 
 
 _DOCUMENT_KEYS = {"kind", "agents", "resources", "matrix", "allocation", "roles"}
@@ -388,7 +388,7 @@ def make_report(command: str, verdict: str, *, witness: object = None, nodes: in
         "witness": witness,
         "stats": {"nodes": nodes, "wall_ms": wall_ms},
         "provenance": {"inputs": dict(inputs or {})},
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
 
 

@@ -10,10 +10,9 @@ downstream index clauses by position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .model import ContractError
+from .model import ContractError, Record
 
 
 def literal_holds(lit: int, value: bool) -> bool:
@@ -33,10 +32,8 @@ def _canonical_clause(clause: Iterable[int], num_vars: int, where: str) -> tuple
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l > 0)))
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+class CnfFormula(Record):
+    __slots__ = ("num_vars", "clauses")          # int, tuple[tuple[int, ...], ...]
 
     def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
         if isinstance(num_vars, bool) or not isinstance(num_vars, int) or num_vars < 0:
@@ -45,12 +42,10 @@ class CnfFormula:
         for k, c in enumerate(frozen):
             if not c:
                 raise ContractError(f"clause {k} is empty")
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", frozen)
+        super().__init__(num_vars, frozen)
 
 
-@dataclass(frozen=True)
-class AEFormula:
+class AEFormula(Record):
     """A clausal formula with a forall block followed by an exists block:
     true iff for every assignment of the forall variables there is an
     assignment of the exists variables satisfying all clauses.
@@ -58,10 +53,8 @@ class AEFormula:
     Every variable 1..num_vars is quantified exactly once.
     """
 
-    num_vars: int
-    forall_vars: tuple[int, ...]
-    exists_vars: tuple[int, ...]
-    clauses: tuple[tuple[int, ...], ...]
+    # int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]
+    __slots__ = ("num_vars", "forall_vars", "exists_vars", "clauses")
 
     def __init__(self, num_vars: int, forall_vars: Iterable[int],
                  exists_vars: Iterable[int], clauses: Iterable[Iterable[int]]):
@@ -77,20 +70,16 @@ class AEFormula:
         missing = set(range(1, num_vars + 1)) - set(fa) - set(ex)
         if missing:
             raise ContractError(f"variables not quantified: {sorted(missing)}")
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "forall_vars", fa)
-        object.__setattr__(self, "exists_vars", ex)
-        object.__setattr__(self, "clauses", cnf.clauses)
+        super().__init__(num_vars, fa, ex, cnf.clauses)
 
     def cnf(self) -> CnfFormula:
         return CnfFormula(self.num_vars, self.clauses)
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
+class PartialAssignment(Record):
     """An assignment of truth values to a subset of the variables."""
 
-    values: tuple[tuple[int, bool], ...]
+    __slots__ = ("values",)                     # tuple[tuple[int, bool], ...]
 
     def __init__(self, values: Mapping[int, bool] | Iterable[tuple[int, bool]] = ()):
         items = dict(values)
@@ -99,7 +88,7 @@ class PartialAssignment:
                 raise ContractError(f"variable {v!r} is not a positive int")
             if not isinstance(b, bool):
                 raise ContractError(f"value for variable {v} must be a bool, got {b!r}")
-        object.__setattr__(self, "values", tuple(sorted(items.items())))
+        super().__init__(tuple(sorted(items.items())))
 
     def as_dict(self) -> dict[int, bool]:
         return dict(self.values)

@@ -7,14 +7,15 @@ instance holds its utilities as scaled ints: one int matrix ``rows`` and one
 ``matrix``, the cells as `fractions.Fraction`, is a view for the boundary
 (reports, reference oracles, tests).  A utility is an int when the scale is
 1 and a Fraction otherwise, so an integral instance's utility vectors hold,
-sort and compare plain ints; a report writes both types alike.  All types
-are immutable; all operations are pure functions.
+sort and compare plain ints; a report writes both types alike.  All
+operations are pure functions.  Every record type subclasses `Record`, which
+keeps it immutable: its fields are named in ``__slots__``, set once, by
+``Record.__init__``, and never set or deleted again.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -40,6 +41,58 @@ def _shown(value: object) -> str:
         return repr(value[:40] + "..." if len(value) > 40 else value)
     text = repr(value)
     return text[:40] + "..." if len(text) > 40 else text
+
+
+class Record:
+    """An immutable record.  A subclass names its fields in ``__slots__`` (one
+    adding none declares ``__slots__ = ()``), and its ``__init__`` checks its
+    arguments and passes the field values, in that order, to
+    ``Record.__init__``.  After that no field can be set or deleted.  Two
+    records are equal when they are of one class and their field values are
+    equal, a record hashes its field values, and its repr is
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._values())
+
+
+def _rebuilt(cls: type, values: tuple) -> Record:
+    """The record of class ``cls`` holding ``values``, built without the
+    class's own ``__init__``: how a record is unpickled and copied."""
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record
 
 
 def as_rational(value: object, where: str = "value") -> Rational:
@@ -75,8 +128,7 @@ def _scaled_matrix(cells: Iterable[Iterable[object]], what: str) -> tuple[tuple[
     return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
 
 
-@dataclass(frozen=True)
-class _ScaledUtilities:
+class _ScaledUtilities(Record):
     """Utilities held as one immutable int matrix ``rows`` and one scale, the
     lcm of the cell denominators: cell (i, j) is worth ``rows[i][j] / scale``.
     Equal matrices are held alike, and hot loops compare the ints directly,
@@ -85,13 +137,10 @@ class _ScaledUtilities:
     a function of the bundle's cells in any unit (a staticmethod, since
     ``functools.partial`` binds as a method from Python 3.14 on)."""
 
-    rows: tuple[tuple[int, ...], ...]
-    scale: int
+    __slots__ = ("rows", "scale")      # tuple[tuple[int, ...], ...], int
 
     def __init__(self, cells: Iterable[Iterable[object]]):
-        rows, scale = _scaled_matrix(cells, self._what)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(*_scaled_matrix(cells, self._what))
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -105,6 +154,7 @@ class Additive(_ScaledUtilities):
     """Additive utilities: the value of a bundle is the sum of per-resource
     coefficients.  Coefficients may be negative."""
 
+    __slots__ = ()
     kind = "additive"
     _what = "coefficients"
     total = staticmethod(sum)
@@ -115,6 +165,7 @@ class MaxAtomic(_ScaledUtilities):
     and a bundle is worth the largest demand it contains (0 when empty).
     Demands must be non-negative."""
 
+    __slots__ = ()
     kind = "max-atomic"
     _what = "demands"
     total = staticmethod(partial(max, default=0))
@@ -132,14 +183,11 @@ UtilitySpec = Union[Additive, MaxAtomic]
 UTILITY_MODELS = (Additive, MaxAtomic)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """An allocation problem: named agents, named resources, and one utility
     model over them.  ``m == 0`` (no resources) is legal; ``n == 0`` is not."""
 
-    agents: tuple[str, ...]
-    resources: tuple[str, ...]
-    utilities: UtilitySpec
+    __slots__ = ("agents", "resources", "utilities")   # tuple[str, ...], tuple[str, ...], UtilitySpec
 
     def __init__(self, agents: Iterable[str], resources: Iterable[str], utilities: UtilitySpec):
         agents = tuple(agents)
@@ -158,9 +206,7 @@ class Instance:
             raise ContractError(f"matrix has {len(rows)} rows for {len(agents)} agents")
         if len(rows[0]) != len(resources):            # there is a row per agent, so one at least
             raise ContractError(f"matrix rows have {len(rows[0])} entries for {len(resources)} resources")
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "resources", resources)
-        object.__setattr__(self, "utilities", utilities)
+        super().__init__(agents, resources, utilities)
 
     @property
     def num_agents(self) -> int:
@@ -200,8 +246,7 @@ def max_atomic_instance(demands: Sequence[Sequence[object]],
                     MaxAtomic(demands))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """A (possibly partial) assignment of resources to agents.
 
     ``owner[j]`` is the index of the agent holding resource ``j``, or None if
@@ -209,7 +254,7 @@ class Allocation:
     impossible by construction.
     """
 
-    owner: tuple[Optional[int], ...]
+    __slots__ = ("owner",)             # tuple[Optional[int], ...]
 
     def __init__(self, owner: Iterable[Optional[int]]):
         owner = tuple(owner)
@@ -218,7 +263,7 @@ class Allocation:
                 continue
             if isinstance(who, bool) or not isinstance(who, int) or who < 0:
                 raise ContractError(f"owner[{j}]: expected agent index or None, got {who!r}")
-        object.__setattr__(self, "owner", owner)
+        super().__init__(owner)
 
     @classmethod
     def empty(cls, num_resources: int) -> "Allocation":
@@ -260,18 +305,17 @@ def bundle_utility(instance: Instance, agent: int, bundle: Iterable[int]) -> Rat
     return total if utilities.scale == 1 else Fraction(total, utilities.scale)
 
 
-@dataclass(frozen=True)
-class UtilityVector:
+class UtilityVector(Record):
     """Per-agent utilities, in agent order, each an int or a Fraction as
     given.  Comparisons use the sorted view."""
 
-    values: tuple[Rational, ...]
+    __slots__ = ("values",)            # tuple[Rational, ...]
 
     def __init__(self, values: Iterable[object]):
         values = tuple(values)
         if not set(map(type, values)) <= {int, Fraction}:     # messages are built only on a rejection
             values = tuple(as_rational(v, f"utility[{i}]") for i, v in enumerate(values))
-        object.__setattr__(self, "values", values)
+        super().__init__(values)
 
     def sorted(self) -> tuple[Rational, ...]:
         return tuple(sorted(self.values))

@@ -17,13 +17,12 @@ reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        formula_satisfied)
-from .model import (Additive, Allocation, ContractError, Instance,
+from .model import (Additive, Allocation, ContractError, Instance, Record,
                     UtilityVector, WrongUtilityKind, bundle_totals, bundles_of,
                     check_allocation, dominates, envy_in_rows, scaled_utilities,
                     utility_vector)
@@ -42,16 +41,16 @@ def _capped_product(options: Sequence, k: int, cap: int) -> Iterator[tuple]:
     return itertools.product(options, repeat=k)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Deterministic resource limit: the maximum number of search nodes a
     procedure may visit before giving up with Unknown."""
 
-    max_nodes: int
+    __slots__ = ("max_nodes",)         # int
 
-    def __post_init__(self):
-        if isinstance(self.max_nodes, bool) or not isinstance(self.max_nodes, int) or self.max_nodes <= 0:
-            raise ContractError(f"max_nodes must be a positive int, got {self.max_nodes!r}")
+    def __init__(self, max_nodes: int):
+        if isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes <= 0:
+            raise ContractError(f"max_nodes must be a positive int, got {max_nodes!r}")
+        super().__init__(max_nodes)
 
 
 DEFAULT_BUDGET = SearchBudget(10_000_000)
@@ -63,17 +62,17 @@ class VerdictKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TriVerdict:
+class TriVerdict(Record):
     """Outcome of a budgeted search.
 
     ``nodes`` is the number of nodes actually visited; for a Yes it locates
     the witness, for a No it doubles as the completed-search certificate.
     """
 
-    kind: VerdictKind
-    witness: object = None
-    nodes: int = 0
+    __slots__ = ("kind", "witness", "nodes")   # VerdictKind, object, int
+
+    def __init__(self, kind: VerdictKind, witness: object = None, nodes: int = 0):
+        super().__init__(kind, witness, nodes)
 
     @classmethod
     def yes(cls, witness: object = None, nodes: int = 0) -> "TriVerdict":

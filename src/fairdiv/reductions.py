@@ -38,13 +38,12 @@ both index an id through ``ReductionMap.add``, which derives its key from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment,
                        clauses_with_literal, formula_satisfied, literal_holds)
-from .model import Additive, Allocation, ContractError, Instance, _shown, as_rational
+from .model import Additive, Allocation, ContractError, Instance, Record, _shown, as_rational
 
 # role -> (tag, link fields): an id's structured key is (tag, *link values),
 # so the role and link a document carries are enough to rebuild it
@@ -96,8 +95,7 @@ def _lit_id(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"~x{-lit}"
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(Record):
     """Bookkeeping that ties instance ids back to formula structure.
 
     ``agent_roles`` / ``resource_roles`` tag every id with its role;
@@ -107,11 +105,11 @@ class ReductionMap:
     ``mapping.resource("lit", 0, 2)``.
     """
 
-    agent_roles: dict
-    resource_roles: dict
-    links: dict
-    agent_key: dict
-    resource_key: dict
+    __slots__ = ("agent_roles", "resource_roles", "links", "agent_key", "resource_key")
+
+    def __init__(self, agent_roles: dict, resource_roles: dict, links: dict,
+                 agent_key: dict, resource_key: dict):
+        super().__init__(agent_roles, resource_roles, links, agent_key, resource_key)
 
     def agent(self, *key) -> int:
         return self.agent_key[key]
@@ -173,12 +171,12 @@ def _check_clause_sizes(clauses: Iterable[tuple[int, ...]]) -> None:
 # ---------------------------------------------------------------------------
 # satisfiability -> Pareto-optimality
 
-@dataclass(frozen=True)
-class PoReduction:
-    formula: CnfFormula
-    instance: Instance
-    baseline: Allocation
-    mapping: ReductionMap
+class PoReduction(Record):
+    __slots__ = ("formula", "instance", "baseline", "mapping")
+
+    def __init__(self, formula: CnfFormula, instance: Instance, baseline: Allocation,
+                 mapping: ReductionMap):
+        super().__init__(formula, instance, baseline, mapping)
 
 
 def reduce_3cnf_to_po(formula: CnfFormula) -> PoReduction:
@@ -282,12 +280,12 @@ def construct_improvement_po(reduction: PoReduction,
 # ---------------------------------------------------------------------------
 # forall/exists -> envy-free + Pareto-optimal
 
-@dataclass(frozen=True)
-class EefReduction:
-    formula: AEFormula
-    instance: Instance
-    mapping: ReductionMap
-    big_m: Fraction
+class EefReduction(Record):
+    __slots__ = ("formula", "instance", "mapping", "big_m")
+
+    def __init__(self, formula: AEFormula, instance: Instance, mapping: ReductionMap,
+                 big_m: Fraction):
+        super().__init__(formula, instance, mapping, big_m)
 
 
 def _unbalanced_variables(formula: Union[CnfFormula, AEFormula]) -> list[int]:

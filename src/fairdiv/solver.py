@@ -34,22 +34,20 @@ a square matrix of more than one level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .model import (Allocation, ContractError, Instance, MaxAtomic, Ordering,
-                    UtilityVector, WrongUtilityKind, leximin_compare,
+                    Record, UtilityVector, WrongUtilityKind, leximin_compare,
                     utility_vector)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Record):
     """Per (agent, resource) matching weights: non-negative big integers,
     strictly antitone in the demand (equal demands get equal weights)."""
 
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ("weights",)           # tuple[tuple[int, ...], ...]
 
     def __init__(self, weights: Iterable[Iterable[int]]):
         rows = []
@@ -61,7 +59,7 @@ class WeightMatrix:
             if rows and len(row) != len(rows[0]):
                 raise ContractError("weight matrix must be rectangular")
             rows.append(row)
-        object.__setattr__(self, "weights", tuple(rows))
+        super().__init__(tuple(rows))
 
 
 def _level_weights(cells: Iterable[int]) -> dict[int, int]:
@@ -135,11 +133,10 @@ def check_weight_invariants(instance: Instance, weights: WeightMatrix) -> None:
         above += total_at[d]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """A set of (row, col) pairs, no row or column used twice."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)             # tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         pairs = tuple(sorted(tuple(p) for p in pairs))
@@ -147,7 +144,7 @@ class Matching:
         cols = [j for _, j in pairs]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ContractError("matching reuses a row or column")
-        object.__setattr__(self, "pairs", pairs)
+        super().__init__(pairs)
 
 
 _UNREACHED = float("inf")                # above every int, however large

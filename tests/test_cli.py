@@ -278,6 +278,19 @@ def test_find_eef(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["check-pareto"], ["find-eef"], ["verify-reduction", "po"]])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_a_budget_below_one_is_bad_input_named_by_its_flag(tmp_path, capsys, command, budget):
+    if command[0] == "verify-reduction":
+        path = tmp_path / "f.cnf"
+        path.write_text(EXAMPLE_DIMACS)
+    else:
+        path = write_doc(tmp_path, "i.json", additive_instance([[1, 1], [1, 1]]), Allocation([None, None]))
+    code, report, err = run(capsys, [*command, str(path), "--budget", budget])
+    assert (code, report) == (3, None)
+    assert err == f"error: --budget: expected a positive int, got {budget}\n"
+
+
 def test_budget_ignores_the_environment(tmp_path, capsys, monkeypatch):
     # a report does not record its budget, so only --budget may set it
     inst = additive_instance([[1, 1], [1, 1]])

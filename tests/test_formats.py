@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -750,6 +752,15 @@ def test_make_report_shape():
     assert data["generated_at"].endswith("+00:00")
     with pytest.raises(ContractError):
         make_report("x", "maybe")
+
+
+def test_generated_at_is_the_current_utc_time_to_the_second():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    stamp = make_report("find-eef", "yes")["generated_at"]
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert before <= datetime.fromisoformat(stamp) <= after
+    assert datetime.fromisoformat(stamp).isoformat(timespec="seconds") == stamp
 
 
 def test_report_json_is_stable_modulo_volatile_fields():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,7 +9,9 @@ from fairdiv import (
     AEFormula,
     Allocation,
     CnfFormula,
+    EefReduction,
     PartialAssignment,
+    ReductionMap,
     additive_instance,
     ae3cnf_eval,
     augment_both_polarities,
@@ -342,8 +343,9 @@ def test_template_builder_rejects_a_mapping_that_leaves_a_resource_unowned():
     reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
     keys = dict(reduction.mapping.resource_key)
     keys[("envy1",)] = keys[("envy2",)]
-    tampered = dataclasses.replace(reduction, mapping=dataclasses.replace(
-        reduction.mapping, resource_key=keys))
+    mapping = reduction.mapping
+    tampered = EefReduction(reduction.formula, reduction.instance, ReductionMap(
+        mapping.agent_roles, mapping.resource_roles, mapping.links, mapping.agent_key, keys), reduction.big_m)
     with pytest.raises(AssertionError, match="internal error: .*'o:envy1' unowned"):
         build_x_forall_allocation(tampered, PartialAssignment({1: True}))
 
@@ -373,8 +375,8 @@ def ae_gadgets(draw):
             j = draw(st.integers(0, inst.num_resources - 1))
             matrix[i][j] = draw(st.integers(-4, 4) | st.builds(Fraction, st.integers(-9, 9),
                                                                  st.integers(1, 4)))
-        reduction = dataclasses.replace(
-            reduction, instance=Instance(inst.agents, inst.resources, Additive(matrix)))
+        reduction = EefReduction(reduction.formula, Instance(inst.agents, inst.resources, Additive(matrix)),
+                                 reduction.mapping, reduction.big_m)
     return reduction
 
 
