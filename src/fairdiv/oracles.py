@@ -1,9 +1,10 @@
 """Exact searches and the exhaustive references they are tested against.
 
 The command line runs the searches: the pruned Pareto-improvement search
-``_dominator_search`` (behind ``find_dominating_allocation`` and
-``is_pareto_optimal``), the envy-free-and-efficient search
-``brute_force_eef``, and the DPLL decision ``sat_on_partial``.  The
+``_pareto_search`` (behind ``find_dominating_allocation`` and
+``is_pareto_optimal``), whose tables are built once per instance and shared
+by every certification of the envy-free-and-efficient search
+``brute_force_eef``; and the DPLL decision ``sat_on_partial``.  The
 references ``brute_force_leximin``, ``dominating_allocation_by_enumeration``,
 ``sat_by_enumeration`` and ``ae3cnf_eval`` enumerate every candidate through
 one capped product, and refuse a space above their fixed cap.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment, clause_status,
                        formula_satisfied)
@@ -139,10 +140,9 @@ def brute_force_leximin(instance: Instance) -> tuple[Allocation, UtilityVector]:
 # ---------------------------------------------------------------------------
 # Pareto-improvement search
 
-def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
-                      counter: _Counter) -> Optional[list[Optional[int]]]:
-    """Depth-first search for an allocation whose utility vector weakly
-    dominates ``base`` with at least one strict gain.
+def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Counter], Optional[list]]:
+    """Return ``search(base, counter)``: depth-first search for an allocation
+    whose utility vector weakly dominates ``base`` with a strict gain.
 
     Search space: every resource with some strictly positive coefficient is
     placed on one of its positive-coefficient agents; all other resources
@@ -173,10 +173,16 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     scan of every unplaced column in index order, stopping at the first with
     at most one feasible owner, would choose.
 
-    State, kept current as placements are made and taken back, so that a
-    node costs work in proportion to the gaps it moves:
-    - per agent, its positive cells sorted by coefficient, and ``top[i]``,
-      how many of them it can still afford (coefficient <= ``gap[i]``);
+    Built once from ``rows``, for every search: per agent its positive
+    cells sorted by coefficient (``col``, ``coef``); per column its positive
+    agents (``pos``), their number (``size``) and largest cell (``colmax``);
+    ``order``, the columns with a positive cell by ``size`` (ties in index
+    order), and each column's ``rank`` in it; all read off nonzero cells.
+
+    Built by each search from ``base`` and kept current as placements are made
+    and taken back, so a node costs work in proportion to the gaps it moves:
+    - per agent, ``top[i]``, how many of its positive cells it can still
+      afford (coefficient <= ``gap[i]``);
     - ``viol[j]``, the violator count of each unplaced column, and
       ``vsum[j]``, the sum of its violators' indices (the violator itself
       when there is one); a placed column keeps both as they were when it
@@ -184,14 +190,7 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
     - ``positive``, the number of agents whose gap is above 0;
     - ``slack`` and ``tight``, the welfare bound's margin and the part of
       it the single-violator columns must give up;
-    - ``crit``, the unplaced critical columns.
-
-    The per-agent cells and the per-column positive agents (``pos``) are
-    read off each row's nonzero cells, so a sparse gadget costs its nonzero
-    cells, not n·m, to set up.  ``order``, the columns with a positive cell
-    sorted by their number of positive agents (ties in index order), is
-    fixed before the search; a column is unplaced exactly when its
-    ``owner`` is None.
+    - ``crit``, the unplaced critical columns; ``owner``, None if unplaced.
     """
     from bisect import bisect_right        # here, so loading the module imports nothing more
     m = len(rows[0]) if rows else 0
@@ -210,121 +209,131 @@ def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
         col.append(ks)
         coef.append([row[j] for j in ks])
     size = [len(column) for column in pos]
-    gap = [sum(cs) - b for cs, b in zip(coef, base)]
-    top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
-    viol = [0] * m
-    vsum = [0] * m
-    for i, (ks, t) in enumerate(zip(col, top)):
-        for k in ks[t:]:
-            viol[k] += 1
-            vsum[k] += i
-    positive = sum(g > 0 for g in gap)
-    slack = sum(colmax) - sum(base) - 1
-    tight = sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1)
-    crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
     order = sorted((j for j in range(m) if size[j]), key=size.__getitem__)
     rank = [0] * m
     for r, j in enumerate(order):
         rank[j] = r
-    owner: list[Optional[int]] = [None] * m
 
-    def drain(j: int, taker: int) -> None:
-        """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
-        nonlocal positive, slack, tight
-        if viol[j] == 1:                         # j leaves the single-violator columns
-            tight -= colmax[j] - rows[vsum[j]][j]
-        for i, c in pos[j]:
-            if i == taker:
-                slack += c - colmax[j]
-                continue
-            old = gap[i]
-            new = gap[i] = old - c
-            if old > 0 >= new:
-                positive -= 1
-            t = top[i]
-            cs = coef[i]
-            if t and cs[t - 1] > new:            # some cells of i just became unaffordable
-                lo = top[i] = bisect_right(cs, new, 0, t - 1)
-                for k in col[i][lo:t]:
-                    if owner[k] is None:         # k is unplaced
-                        had = viol[k]
-                        viol[k] = had + 1
-                        vsum[k] += i
-                        crit.add(k)
-                        if had == 0:             # i is its single violator
-                            tight += colmax[k] - rows[i][k]
-                        elif had == 1:           # its single violator is one of two
-                            tight -= colmax[k] - rows[vsum[k] - i][k]
+    def search(base: list[int], counter: _Counter) -> Optional[list[Optional[int]]]:
+        gap = [sum(cs) - b for cs, b in zip(coef, base)]
+        top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
+        viol = [0] * m
+        vsum = [0] * m
+        for i, (ks, t) in enumerate(zip(col, top)):
+            for k in ks[t:]:
+                viol[k] += 1
+                vsum[k] += i
+        positive = sum(g > 0 for g in gap)
+        slack = sum(colmax) - sum(base) - 1
+        tight = sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1)
+        crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
+        owner: list[Optional[int]] = [None] * m
 
-    def refill(j: int, taker: int) -> None:
-        """Take back the placement of column ``j`` on ``taker``."""
-        nonlocal positive, slack, tight
-        for i, c in pos[j]:
-            if i == taker:
-                slack -= c - colmax[j]
-                continue
-            old = gap[i]
-            new = gap[i] = old + c
-            if old <= 0 < new:
-                positive += 1
-            t = top[i]
-            cs = coef[i]
-            if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
-                hi = top[i] = bisect_right(cs, new, t + 1)
-                for k in col[i][t:hi]:
-                    if owner[k] is None:         # k is unplaced
-                        left = viol[k] = viol[k] - 1
-                        vsum[k] -= i
-                        if left == 0:            # i was its single violator
-                            tight -= colmax[k] - rows[i][k]
-                            if size[k] > 1:
-                                crit.discard(k)
-                        elif left == 1:          # the other violator is now single
-                            tight += colmax[k] - rows[vsum[k]][k]
-        if viol[j] == 1:                         # j rejoins the single-violator columns
-            tight += colmax[j] - rows[vsum[j]][j]
+        def drain(j: int, taker: int) -> None:
+            """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
+            nonlocal positive, slack, tight
+            if viol[j] == 1:                         # j leaves the single-violator columns
+                tight -= colmax[j] - rows[vsum[j]][j]
+            for i, c in pos[j]:
+                if i == taker:
+                    slack += c - colmax[j]
+                    continue
+                old = gap[i]
+                new = gap[i] = old - c
+                if old > 0 >= new:
+                    positive -= 1
+                t = top[i]
+                cs = coef[i]
+                if t and cs[t - 1] > new:            # some cells of i just became unaffordable
+                    lo = top[i] = bisect_right(cs, new, 0, t - 1)
+                    for k in col[i][lo:t]:
+                        if owner[k] is None:         # k is unplaced
+                            had = viol[k]
+                            viol[k] = had + 1
+                            vsum[k] += i
+                            crit.add(k)
+                            if had == 0:             # i is its single violator
+                                tight += colmax[k] - rows[i][k]
+                            elif had == 1:           # its single violator is one of two
+                                tight -= colmax[k] - rows[vsum[k] - i][k]
 
-    # per placed column, innermost last: (column, its candidates not yet tried);
-    # an explicit stack, so the depth is not bounded by Python's recursion limit
-    stack: list[tuple[int, Iterator[int]]] = []
-    nodes, limit = counter.used, counter.limit
-    cursor = 0                                   # every column of order[:cursor] is placed
-    try:
-        while True:
-            nodes += 1                           # a node: the placements on the stack
-            if nodes > limit:
-                raise _OutOfBudget
-            if positive and slack >= tight:      # else nobody, or not the sum, can still beat baseline
-                if len(stack) == len(order):     # the stack holds every placed column
-                    return list(owner)
-                if crit:                         # dead, or its one violator or positive agent
-                    j = min(crit)
-                    cands = [] if viol[j] > 1 else [vsum[j] if viol[j] else pos[j][0][0]]
+        def refill(j: int, taker: int) -> None:
+            """Take back the placement of column ``j`` on ``taker``."""
+            nonlocal positive, slack, tight
+            for i, c in pos[j]:
+                if i == taker:
+                    slack -= c - colmax[j]
+                    continue
+                old = gap[i]
+                new = gap[i] = old + c
+                if old <= 0 < new:
+                    positive += 1
+                t = top[i]
+                cs = coef[i]
+                if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
+                    hi = top[i] = bisect_right(cs, new, t + 1)
+                    for k in col[i][t:hi]:
+                        if owner[k] is None:         # k is unplaced
+                            left = viol[k] = viol[k] - 1
+                            vsum[k] -= i
+                            if left == 0:            # i was its single violator
+                                tight -= colmax[k] - rows[i][k]
+                                if size[k] > 1:
+                                    crit.discard(k)
+                            elif left == 1:          # the other violator is now single
+                                tight += colmax[k] - rows[vsum[k]][k]
+            if viol[j] == 1:                         # j rejoins the single-violator columns
+                tight += colmax[j] - rows[vsum[j]][j]
+
+        # per placed column, innermost last: (column, its candidates not yet tried);
+        # an explicit stack, so the depth is not bounded by Python's recursion limit
+        stack: list[tuple[int, Iterator[int]]] = []
+        nodes, limit = counter.used, counter.limit
+        cursor = 0                                   # every column of order[:cursor] is placed
+        try:
+            while True:
+                nodes += 1                           # a node: the placements on the stack
+                if nodes > limit:
+                    raise _OutOfBudget
+                if positive and slack >= tight:      # else nobody, or not the sum, can still beat baseline
+                    if len(stack) == len(order):     # the stack holds every placed column
+                        return list(owner)
+                    if crit:                         # dead, or its one violator or positive agent
+                        j = min(crit)
+                        cands = [] if viol[j] > 1 else [vsum[j] if viol[j] else pos[j][0][0]]
+                    else:
+                        while owner[order[cursor]] is not None:
+                            cursor += 1
+                        j = order[cursor]
+                        cands = [i for i, _ in pos[j]]
+                    if cands:
+                        crit.discard(j)
+                        stack.append((j, iter(cands)))
+                # place the next candidate of the innermost column that has one left
+                while stack:
+                    j, untried = stack[-1]
+                    if owner[j] is not None:         # take back the placement tried last
+                        refill(j, owner[j])
+                    owner[j] = next(untried, None)
+                    if owner[j] is not None:
+                        drain(j, owner[j])
+                        break
+                    stack.pop()
+                    cursor = min(cursor, rank[j])
+                    if viol[j] or size[j] == 1:
+                        crit.add(j)
                 else:
-                    while owner[order[cursor]] is not None:
-                        cursor += 1
-                    j = order[cursor]
-                    cands = [i for i, _ in pos[j]]
-                if cands:
-                    crit.discard(j)
-                    stack.append((j, iter(cands)))
-            # place the next candidate of the innermost column that has one left
-            while stack:
-                j, untried = stack[-1]
-                if owner[j] is not None:         # take back the placement tried last
-                    refill(j, owner[j])
-                owner[j] = next(untried, None)
-                if owner[j] is not None:
-                    drain(j, owner[j])
-                    break
-                stack.pop()
-                cursor = min(cursor, rank[j])
-                if viol[j] or size[j] == 1:
-                    crit.add(j)
-            else:
-                return None
-    finally:
-        counter.used = nodes
+                    return None
+        finally:
+            counter.used = nodes
+
+    return search
+
+
+def _dominator_search(rows: Sequence[Sequence[int]], base: list[int],
+                      counter: _Counter) -> Optional[list[Optional[int]]]:
+    """One search of ``_pareto_search(rows)``, its tables built for this call."""
+    return _pareto_search(rows)(base, counter)
 
 
 def find_dominating_allocation(instance: Instance, baseline: Allocation,
@@ -395,16 +404,17 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
     order of the full (n+1)^m enumeration, nobody first, so the first
     witness is that enumeration's.  ``candidates`` restricts the search to
     an explicit family instead (then the verdict is relative to that family).
-    Envy-freeness is checked first since it needs no search;
-    Pareto-optimality of each envy-free candidate is then certified against
-    the full allocation space.  A single node budget covers the outer
-    enumeration and all inner certification searches.
+    Envy-freeness is checked first since it needs no search; each envy-free
+    candidate is then certified Pareto-optimal against the full allocation
+    space by one Pareto search built for the instance.  A single node budget
+    covers the outer enumeration and all inner certification searches.
     """
     if not isinstance(instance.utilities, Additive):
         raise WrongUtilityKind("the efficiency certification step needs additive utilities")
     counter = _Counter(budget)
     utilities = instance.utilities
     rows, n = utilities.rows, instance.num_agents
+    search = _pareto_search(rows)
     if candidates is None:
         owners_of = [[i for i, c in enumerate(column) if c > 0]
                      or [None, *(i for i, c in enumerate(column) if c == 0)] for column in zip(*rows)]
@@ -416,7 +426,7 @@ def brute_force_eef(instance: Instance, budget: SearchBudget = DEFAULT_BUDGET,
             counter.spend()
             if envy_in_rows(utilities, owners) is not None:
                 continue
-            if _dominator_search(rows, bundle_totals(utilities, bundles_of(owners, n)), counter) is None:
+            if search(bundle_totals(utilities, bundles_of(owners, n)), counter) is None:
                 return TriVerdict.yes(Allocation(owners), counter.used)
     except _OutOfBudget:
         return TriVerdict.unknown(counter.used)

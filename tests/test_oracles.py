@@ -39,7 +39,8 @@ from fairdiv import (
 from fairdiv.formulas import formula_satisfied
 from fairdiv.model import ContractError, bundles_of, scaled_utilities
 import fairdiv.oracles
-from fairdiv.oracles import DEFAULT_BUDGET, TriVerdict, _capped_product, _Counter, _OutOfBudget, _dominator_search
+from fairdiv.oracles import (DEFAULT_BUDGET, TriVerdict, _capped_product, _Counter, _OutOfBudget, _dominator_search,
+                             _pareto_search)
 
 literals = st.sampled_from([v for v in range(-4, 5) if v != 0])
 clauses4 = st.lists(st.lists(literals, min_size=1, max_size=3), min_size=0, max_size=4)
@@ -445,6 +446,34 @@ def owner_dominates(rows, owner, base):
     return all(a >= b for a, b in zip(u, base)) and any(a > b for a, b in zip(u, base))
 
 
+@st.composite
+def search_runs(draw):
+    """The rows of ``search_inputs`` and 2-4 more baselines on them, drawn
+    the same way, each with its own ample or small node budget."""
+    rows, base, limit = draw(search_inputs())
+    n, m = len(rows), len(rows[0])
+    runs = [(base, limit)]
+    for _ in range(draw(st.integers(2, 4))):
+        owner = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)), min_size=m, max_size=m))
+        base = [sum(rows[i][j] for j, who in enumerate(owner) if who == i) for i in range(n)]
+        if draw(st.booleans()):
+            base = [b + draw(st.integers(-3, 3)) for b in base]
+        runs.append((base, draw(st.sampled_from([10**6]) | st.integers(1, 30))))
+    return rows, runs
+
+
+@given(search_runs())
+@settings(max_examples=300)
+def test_one_built_search_serves_baselines_in_turn(case):
+    # each search builds its own baseline state, so nothing of a finished
+    # search, or of one that ran out of budget partway, reaches the next
+    rows, runs = case
+    search = _pareto_search(rows)
+    for base, limit in runs:
+        reused = run_search(lambda _rows, b, counter: search(b, counter), rows, base, limit)
+        assert reused == run_search(_dominator_search, rows, base, limit)
+
+
 def core_3cnf(num_vars, num_clauses, seed):
     """All 8 sign patterns over 3 core variables, filled up with random
     3-clauses and shuffled: unsatisfiable, and a heavy tail for the search."""
@@ -613,6 +642,28 @@ def test_eef_explicit_candidates_are_checked_as_they_are_drawn():
     for bad in (Allocation([0]), Allocation([0, 1, None]), Allocation([0, 2])):
         with pytest.raises(ContractError):
             brute_force_eef(inst, candidates=[Allocation.empty(2), bad])
+
+
+def test_eef_builds_one_pareto_search_and_certifies_every_candidate_with_it(monkeypatch):
+    builds = []                          # per build, the certifications it ran
+
+    def counted_build(rows):
+        search = _pareto_search(rows)
+        builds.append(0)
+
+        def counted_search(base, counter):
+            builds[-1] += 1
+            return search(base, counter)
+        return counted_search
+
+    monkeypatch.setattr(fairdiv.oracles, "_pareto_search", counted_build)
+    # both empty allocations are envy-free and dominated
+    inst = additive_instance([[1, 0], [0, 1]])
+    verdict = brute_force_eef(inst, candidates=[Allocation.empty(2), Allocation.empty(2), Allocation([0, 1])])
+    assert (builds, verdict.is_yes, verdict.witness.owner) == ([3], True, (0, 1))
+    builds.clear()
+    verdict = brute_force_eef(additive_instance([[3, -1, 0, 0, 2], [1, 2, 1, 2, -2], [1, -1, 3, 1, 1]]))
+    assert (builds, verdict.is_yes, verdict.witness.owner, verdict.nodes) == ([2], True, (0, 1, 2, 1, 0), 13)
 
 
 # ---------------------------------------------------------------------------
