@@ -11,6 +11,7 @@ into the instance's int matrix as they are; only "p/q" cells pass a Fraction.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import time
@@ -98,12 +99,16 @@ _LINK_FIELDS = {field for roles in ROLES.values() for _, fields in roles.values(
 def document_to_dict(doc: InstanceDocument) -> dict:
     instance = doc.instance
     scale = instance.utilities.scale
+    matrix = [list(row) for row in instance.utilities.rows]
+    if scale != 1:                       # a zero cell is 0 at any scale
+        for row in matrix:
+            for j in itertools.compress(range(len(row)), row):
+                row[j] = rational_to_json(row[j], scale)
     data: dict = {
         "kind": instance.kind,
         "agents": list(instance.agents),
         "resources": list(instance.resources),
-        "matrix": [list(row) if scale == 1 else [rational_to_json(c, scale) for c in row]
-                   for row in instance.utilities.rows],
+        "matrix": matrix,
     }
     if doc.allocation is not None:
         data["allocation"] = allocation_to_json(instance, doc.allocation)
@@ -117,8 +122,24 @@ def document_to_dict(doc: InstanceDocument) -> dict:
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
-    """The document as one compact JSON line with sorted keys."""
-    return json.dumps(document_to_dict(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    """The document as one compact JSON line with sorted keys, byte for byte
+    ``json.dumps(document_to_dict(doc), sort_keys=True, separators=(",",
+    ":"))`` and a newline.  Each matrix row is written from a row of "0"
+    tokens with only its nonzero cells encoded, and the matrix is spliced
+    between the fields that sort before and after it."""
+    data = document_to_dict(doc)
+    zeros = ["0"] * len(doc.instance.resources)
+    columns = range(len(zeros))
+    rows = []
+    for cells in data.pop("matrix"):
+        tokens = zeros.copy()
+        for j in itertools.compress(columns, cells):            # an int, or a "p/q" string
+            tokens[j] = f'"{cells[j]}"' if isinstance(cells[j], str) else str(cells[j])
+        rows.append(f"[{','.join(tokens)}]")
+    # "agents" and "kind" sort before "matrix", "resources" after it
+    head = json.dumps({k: v for k, v in data.items() if k < "matrix"}, sort_keys=True, separators=(",", ":"))
+    tail = json.dumps({k: v for k, v in data.items() if k > "matrix"}, sort_keys=True, separators=(",", ":"))
+    return f'{head[:-1]},"matrix":[{",".join(rows)}],{tail[1:]}\n'
 
 
 def _expect(data: Mapping, key: str, kind: type, where: str):

@@ -89,7 +89,8 @@ class Record:
 
 def _rebuilt(cls: type, values: tuple) -> Record:
     """The record of class ``cls`` holding ``values``, built without the
-    class's own ``__init__``: how a record is unpickled and copied."""
+    class's own ``__init__``: how a record is unpickled and copied, and how
+    a gadget's utilities skip a second check."""
     record = object.__new__(cls)
     Record.__init__(record, *values)
     return record
@@ -141,6 +142,13 @@ class _ScaledUtilities(Record):
 
     def __init__(self, cells: Iterable[Iterable[object]]):
         super().__init__(*_scaled_matrix(cells, self._what))
+
+    @classmethod
+    def _of_scaled(cls, rows: tuple[tuple[int, ...], ...], scale: int):
+        """The model holding ``rows`` and ``scale`` as they are, without a
+        check: for a builder whose rows are already plain ints scaled by the
+        lcm of its cells' denominators, as ``__init__`` would hold them."""
+        return _rebuilt(cls, (rows, scale))
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -38,7 +38,9 @@ both index an id through ``ReductionMap.add``, which derives its key from it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .formulas import (AEFormula, CnfFormula, PartialAssignment,
@@ -154,11 +156,15 @@ class _GadgetBuilder:
         self.coeff[cell] = value
 
     def instance(self) -> Instance:
-        n, m = len(self.agent_ids), len(self.resource_ids)
-        matrix = [[0] * m for _ in range(n)]
+        """The instance, its utilities written already scaled: the scale is
+        the lcm of the coefficients' denominators, every cell a plain int,
+        so the model takes the rows without checking each cell again."""
+        scale = lcm(*(v.denominator for v in self.coeff.values()))
+        rows = [[0] * len(self.resource_ids) for _ in self.agent_ids]
         for (i, j), v in self.coeff.items():
-            matrix[i][j] = v
-        return Instance(self.agent_ids, self.resource_ids, Additive(matrix))
+            rows[i][j] = v.numerator * (scale // v.denominator)
+        utilities = Additive._of_scaled(tuple(map(tuple, rows)), scale)
+        return Instance(self.agent_ids, self.resource_ids, utilities)
 
 
 def _check_clause_sizes(clauses: Iterable[tuple[int, ...]]) -> None:
@@ -210,13 +216,14 @@ def reduce_3cnf_to_po(formula: CnfFormula) -> PoReduction:
     b.add_resource("o:satisfied", "satisfied")
 
     # variable resources: worth 1 to the unassigned agent, and to each
-    # polarity's assignment agent as much as that literal occurs
+    # polarity's assignment agent as much as that literal occurs (a clause
+    # holds a literal once, so this counts the clauses that hold it)
+    occurrences = Counter(lit for clause in clauses for lit in clause)
     for v in range(1, w + 1):
         b.set(("unassigned",), ("var", v), 1)
         for lit in (v, -v):
-            occurrences = len(clauses_with_literal(clauses, lit))
-            if occurrences:
-                b.set(("set", lit), ("var", v), occurrences)
+            if occurrences[lit]:
+                b.set(("set", lit), ("var", v), occurrences[lit])
     # clause resources: the clause agent or the satisfied collector
     for k in range(len(clauses)):
         b.set(("clause", k), ("clause", k), 1)
@@ -345,9 +352,7 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
     # one step above everything an agent can reach through ordinary trades
     t = len(exists_vars) + len(forall_vars) + len(clauses) + 1
 
-    def occ(lit: int) -> int:
-        return len(clauses_with_literal(clauses, lit))
-
+    occ = Counter(lit for clause in clauses for lit in clause)   # clauses holding each literal
     b = _GadgetBuilder()
     for k in range(len(clauses)):
         b.add_agent(f"a:c{k + 1}", "clause", clause=k)
@@ -409,12 +414,12 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
         b.set(("set", -v), ("var_comp", v), 1)
         b.set(("unassigned",), ("var_comp", v), 1)
         for lit in (v, -v):
-            b.set(("helper", lit), ("helper", lit), occ(lit))
+            b.set(("helper", lit), ("helper", lit), occ[lit])
             b.set(("set", lit), ("helper", lit), 1)
             b.set(("set", -lit), ("helper", lit), 1)
     for v in exists_vars:
-        b.set(("set", v), ("var", v), occ(v))
-        b.set(("set", -v), ("var", v), occ(-v))
+        b.set(("set", v), ("var", v), occ[v])
+        b.set(("set", -v), ("var", v), occ[-v])
         b.set(("unassigned",), ("var", v), 1)
     b.set(("unassigned",), ("satisfied",), t)
     b.set(("satisfied",), ("satisfied",), len(clauses))

@@ -17,6 +17,7 @@ from fairdiv import (
     InstanceDocument,
     additive_instance,
     augment_both_polarities,
+    default_big_m,
     exit_code,
     max_atomic_instance,
     parse_ae_dimacs,
@@ -39,7 +40,7 @@ from fairdiv.formats import (
     utilities_to_json,
 )
 from fairdiv.cli import main
-from fairdiv.model import ContractError, UtilityVector
+from fairdiv.model import Additive, ContractError, Instance, UtilityVector
 
 EXAMPLE_CNF = CnfFormula(3, [[1, 2, -3], [-1, -2, -3]])
 
@@ -125,11 +126,16 @@ def cell_value(cell):
     return Fraction(cell) if isinstance(cell, int) else Fraction(*map(int, cell.split("/")))
 
 
-def fraction_encoding(cell):
-    """The per-cell encoder serialization must match: through a Fraction, an
-    int when whole, "p/q" in lowest terms otherwise."""
-    value = cell_value(cell)
+def fraction_json(value):
+    """A Fraction as a document cell: an int when whole, "p/q" in lowest
+    terms otherwise."""
     return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def fraction_encoding(cell):
+    """The per-cell encoder serialization must match: through a Fraction,
+    then ``fraction_json``."""
+    return fraction_json(cell_value(cell))
 
 
 # ints, negatives, zeros, and "p/q" spellings, unreduced ones included
@@ -162,9 +168,14 @@ def sorted_object(pairs):
 
 def assert_written_as_readers_expect(doc):
     """A written document is one ASCII line with sorted keys in every object;
-    it reads back as ``document_to_dict`` and as the document, and the
-    ``indent=2`` layout of earlier versions reads as the same document."""
+    it is byte for byte the compact ``json.dumps`` of the document with each
+    cell encoded on its own, it reads back as ``document_to_dict`` and as
+    the document, and the ``indent=2`` layout of earlier versions reads as
+    the same document."""
     text = serialize_instance(doc)
+    matrix = [[fraction_json(c) for c in row] for row in doc.instance.matrix]
+    reference = json.dumps(dict(document_to_dict(doc), matrix=matrix), sort_keys=True, separators=(",", ":"))
+    assert text == reference + "\n"
     assert text.endswith("\n") and "\n" not in text[:-1] and text.isascii()
     json.loads(text, object_pairs_hook=sorted_object)
     assert json.loads(text) == document_to_dict(doc)
@@ -207,6 +218,30 @@ def test_serialization_of_an_eef_gadget_is_one_sorted_line_that_reads_back():
     doc = InstanceDocument(eef.instance, None, eef.mapping)        # "p/q" cells with roles
     assert any(isinstance(c, str) for row in document_to_dict(doc)["matrix"] for c in row)
     assert_written_as_readers_expect(doc)
+
+
+def test_serialization_of_cells_beyond_64_bits_is_one_sorted_line_that_reads_back():
+    instance = additive_instance([[2**70, Fraction(-(2**64 + 1), 3), 0], [0, 0, -(2**65)]])
+    assert instance.utilities.scale == 3
+    assert_written_as_readers_expect(InstanceDocument(instance, Allocation([1, None, 0])))
+
+
+def test_serializing_an_eef_gadget_encodes_only_its_nonzero_cells(monkeypatch):
+    eef = reduce_ae3cnf_to_eef(AEFormula(2, [1], [2], [[1, 2], [-1, -2]]))
+    rows = eef.instance.utilities.rows
+    assert eef.instance.utilities.scale == 2
+    nonzero = sum(map(bool, (c for row in rows for c in row)))
+    assert nonzero < len(rows) * len(rows[0])
+    calls = []
+
+    def counted(value, scale=1):
+        calls.append(value)
+        return rational_to_json(value, scale)
+
+    monkeypatch.setattr(fairdiv.formats, "rational_to_json", counted)
+    text = serialize_instance(InstanceDocument(eef.instance, None, eef.mapping))
+    assert len(calls) == nonzero
+    assert parse_instance(text).instance == eef.instance
 
 
 def test_round_trip_preserves_reduction_roles():
@@ -259,6 +294,28 @@ def test_gadget_documents_round_trip_with_their_roles(formula):
         assert parsed == doc
         assert parsed.mapping.agent_key == doc.mapping.agent_key
         assert parsed.mapping.resource_key == doc.mapping.resource_key
+
+
+@settings(max_examples=100)
+@given(gadget_formulas())
+def test_gadget_instances_equal_their_checked_rebuild(formula):
+    """The builder writes each gadget's rows already scaled; the checked
+    constructor, given the same cells, holds the same plain-int rows and
+    scale.  An M a third above the default makes the scale 6 and changes
+    only the M and M - 1 cells."""
+    num_vars, clauses, forall = formula
+    exists = [v for v in range(1, num_vars + 1) if v not in forall]
+    ae, _ = augment_both_polarities(AEFormula(num_vars, forall, exists, clauses))
+    m = default_big_m(ae)
+    big_m = m + Fraction(1, 3)
+    default, raised = reduce_ae3cnf_to_eef(ae).instance, reduce_ae3cnf_to_eef(ae, big_m).instance
+    instances = [reduce_3cnf_to_po(CnfFormula(num_vars, clauses)).instance, default, raised]
+    assert [instance.utilities.scale for instance in instances] == [1, 2, 6]
+    for instance in instances:
+        assert instance == Instance(instance.agents, instance.resources, Additive(instance.matrix))
+        assert all(type(c) is int for row in instance.utilities.rows for c in row)
+    lift = {m: big_m, m - 1: big_m - 1}
+    assert raised.matrix == tuple(tuple(lift.get(c, c) for c in row) for row in default.matrix)
 
 
 def test_roles_missing_a_link_field_name_the_role_and_the_field():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairdiv.model
 from fairdiv import (
     AEFormula,
     Allocation,
@@ -141,6 +142,20 @@ def test_gadget_builder_rejects_a_repeated_structured_key():
     builder.add_resource("o:x1", "variable", variable=1)
     with pytest.raises(ContractError, match="resource 'o:x1 again' repeats"):
         builder.add_resource("o:x1 again", "universal-variable", variable=1)
+
+
+def test_gadgets_build_without_checking_their_cells_again(monkeypatch):
+    """The builder hands the model rows it wrote already scaled, so the
+    per-cell check of outside input never runs on a gadget."""
+    def forbidden(cells, what):
+        raise AssertionError(f"_scaled_matrix(..., {what!r})")
+
+    monkeypatch.setattr(fairdiv.model, "_scaled_matrix", forbidden)
+    po = reduce_3cnf_to_po(EXAMPLE_CNF)
+    eef = reduce_ae3cnf_to_eef(EXAMPLE_AE)
+    assert (po.instance.utilities.scale, eef.instance.utilities.scale) == (1, 2)
+    with pytest.raises(AssertionError, match="_scaled_matrix"):
+        additive_instance([[1]])
 
 
 @given(clauses4)
