@@ -184,9 +184,7 @@ def _verify_eef(args, text: str):
     cnf = formula.cnf()
     sat_nodes = dominance_nodes = 0
     per_assignment = []
-    family_has_eef = False
     sound = True
-    unknown = False
     # per forall assignment, its 2^F templates: the default and any subset of its F flag patches
     for s in x_forall_assignments(reduction.formula):
         template, patches = build_x_forall_allocation(reduction, s)
@@ -213,15 +211,11 @@ def _verify_eef(args, text: str):
             certified = (find_dominating_allocation(reduction.instance, template, SearchBudget(left))
                          if left > 0 else TriVerdict.unknown())
             dominance_nodes += certified.nodes
-            if certified.is_unknown:
-                unknown = True
-                entry["template_efficient"] = None
-            else:
-                entry["template_efficient"] = certified.is_no
-                sound = sound and certified.is_no
-                if certified.is_no:
-                    family_has_eef = True
+            entry["template_efficient"] = None if certified.is_unknown else certified.is_no
+            sound = sound and certified.is_no          # an Unknown run returns before reading it
         per_assignment.append(entry)
+    efficient = [entry["template_efficient"] for entry in per_assignment]
+    unknown, family_has_eef = None in efficient, True in efficient
     # true when every forall assignment leaves the clauses satisfiable over the exists block
     truth = all(entry["satisfiable_over_exists"] for entry in per_assignment)
     detail = {

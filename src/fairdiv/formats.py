@@ -188,7 +188,7 @@ def parse_instance(document: str) -> InstanceDocument:
             data = json.loads(document, parse_int=_int_or_oversized)
     except RecursionError:
         raise FormatError("document is nested too deeply to decode") from None
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):                   # json.loads makes every JSON object a dict
         raise FormatError("document: expected a JSON object")
     unknown = set(data) - _DOCUMENT_KEYS
     if unknown:
@@ -234,7 +234,7 @@ def parse_instance(document: str) -> InstanceDocument:
 
     allocation = None
     if "allocation" in data:
-        alloc_data = _expect(data, "allocation", Mapping, "document")
+        alloc_data = _expect(data, "allocation", dict, "document")
         owner: list[Optional[int]] = [None] * len(resources)
         for rid, aid in alloc_data.items():
             if rid not in resource_index:
@@ -251,17 +251,17 @@ def parse_instance(document: str) -> InstanceDocument:
 
     mapping = None
     if "roles" in data:
-        roles = _expect(data, "roles", Mapping, "document")
+        roles = _expect(data, "roles", dict, "document")
         unknown = set(roles) - {"agents", "resources", "links"}
         if unknown:
             raise FormatError(f"document.roles: unknown field {_shown(min(unknown))}")
         links = roles.get("links", {})
-        if not isinstance(links, Mapping):
+        if not isinstance(links, dict):
             raise FormatError("document.roles.links: expected an object")
         for key, link in links.items():
             if key not in agent_index and key not in resource_index:
                 raise FormatError(f"document.roles.links: unknown id {_shown(key)}")
-            if not isinstance(link, Mapping):
+            if not isinstance(link, dict):
                 raise FormatError(f"document.roles.links[{_shown(key)}]: expected an object")
             for field, value in link.items():
                 if field not in _LINK_FIELDS:
@@ -273,7 +273,7 @@ def parse_instance(document: str) -> InstanceDocument:
         for side, section, index in (("agent", "agents", agent_index),
                                      ("resource", "resources", resource_index)):
             section_data = roles.get(section, {})
-            if not isinstance(section_data, Mapping):
+            if not isinstance(section_data, dict):
                 raise FormatError(f"document.roles.{section}: expected an object")
             for key, role in section_data.items():
                 if key not in index:
@@ -421,7 +421,7 @@ def strip_volatile(report_data: Mapping) -> dict:
     """Drop the timing metadata (timestamp and wall-clock stat) so two runs
     of the same command can be compared byte-for-byte."""
     data = {k: v for k, v in report_data.items() if k != "generated_at"}
-    if isinstance(data.get("stats"), Mapping):
+    if isinstance(data.get("stats"), dict):
         data["stats"] = {k: v for k, v in data["stats"].items() if k != "wall_ms"}
     return data
 

@@ -153,14 +153,20 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
 
     Pruning: ``gap[i]`` = current utility + best-case remaining gain - base.
     A placement is feasible only if it keeps every gap non-negative, and a
-    branch dies as soon as no agent can end strictly above its baseline.
-    It also dies when the welfare bound fails: a dominator's utilities sum
-    to at least sum(base) + 1, and a node can reach at most the takers'
-    cells of its placed columns plus ``colmax[j]``, the largest cell, of
-    each unplaced one; ``slack`` is that bound less sum(base) + 1.  An
-    unplaced column with a single violator v (see below) can only go to v,
-    so it is worth ``rows[v][j]``, not ``colmax[j]``; ``tight`` sums that
-    shortfall over those columns, and the node dies when ``slack < tight``.
+    node dies when the welfare bound fails: a dominator's utilities sum to
+    at least sum(base) + 1, and a node can reach at most the takers' cells
+    of its placed columns plus ``colmax[j]``, the largest cell, of each
+    unplaced one, except that an unplaced column with a single violator v
+    (see below) can only go to v, so it is worth ``rows[v][j]``.  ``margin``
+    is that bound less sum(base) + 1, and the node dies when ``margin < 0``.
+
+    This bound also kills every node where no agent can still end strictly
+    above its baseline, so no count of such agents is kept.  The gaps sum
+    to the takers' cells of the placed columns plus every positive cell of
+    each unplaced column, less sum(base).  An unplaced column's positive
+    cells sum to at least its ``colmax``, and each single-violator shortfall
+    ``colmax[j] - rows[v][j]`` is >= 0, so the gaps sum to at least
+    ``margin`` + 1, for any ``base``.  With every gap <= 0, ``margin`` <= -1.
 
     Branching: an agent i with a positive cell c in column j is a violator
     of j while ``gap[i] < c``, since i cannot afford to lose j.  So the
@@ -187,9 +193,7 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
       ``vsum[j]``, the sum of its violators' indices (the violator itself
       when there is one); a placed column keeps both as they were when it
       was placed, which is what taking the placement back restores;
-    - ``positive``, the number of agents whose gap is above 0;
-    - ``slack`` and ``tight``, the welfare bound's margin and the part of
-      it the single-violator columns must give up;
+    - ``margin``, the welfare bound less sum(base) + 1;
     - ``crit``, the unplaced critical columns; ``owner``, None if unplaced.
     """
     from bisect import bisect_right        # here, so loading the module imports nothing more
@@ -223,25 +227,21 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
             for k in ks[t:]:
                 viol[k] += 1
                 vsum[k] += i
-        positive = sum(g > 0 for g in gap)
-        slack = sum(colmax) - sum(base) - 1
-        tight = sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1)
+        margin = (sum(colmax) - sum(base) - 1
+                  - sum(colmax[j] - rows[vsum[j]][j] for j in range(m) if viol[j] == 1))
         crit = {j for j in range(m) if size[j] and (viol[j] or size[j] == 1)}
         owner: list[Optional[int]] = [None] * m
 
         def drain(j: int, taker: int) -> None:
             """Place column ``j`` on ``taker``: every other positive agent loses its cell."""
-            nonlocal positive, slack, tight
+            nonlocal margin
             if viol[j] == 1:                         # j leaves the single-violator columns
-                tight -= colmax[j] - rows[vsum[j]][j]
+                margin += colmax[j] - rows[vsum[j]][j]
             for i, c in pos[j]:
                 if i == taker:
-                    slack += c - colmax[j]
+                    margin += c - colmax[j]
                     continue
-                old = gap[i]
-                new = gap[i] = old - c
-                if old > 0 >= new:
-                    positive -= 1
+                new = gap[i] = gap[i] - c
                 t = top[i]
                 cs = coef[i]
                 if t and cs[t - 1] > new:            # some cells of i just became unaffordable
@@ -253,21 +253,18 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
                             vsum[k] += i
                             crit.add(k)
                             if had == 0:             # i is its single violator
-                                tight += colmax[k] - rows[i][k]
+                                margin -= colmax[k] - rows[i][k]
                             elif had == 1:           # its single violator is one of two
-                                tight -= colmax[k] - rows[vsum[k] - i][k]
+                                margin += colmax[k] - rows[vsum[k] - i][k]
 
         def refill(j: int, taker: int) -> None:
             """Take back the placement of column ``j`` on ``taker``."""
-            nonlocal positive, slack, tight
+            nonlocal margin
             for i, c in pos[j]:
                 if i == taker:
-                    slack -= c - colmax[j]
+                    margin -= c - colmax[j]
                     continue
-                old = gap[i]
-                new = gap[i] = old + c
-                if old <= 0 < new:
-                    positive += 1
+                new = gap[i] = gap[i] + c
                 t = top[i]
                 cs = coef[i]
                 if t < len(cs) and cs[t] <= new:     # some cells of i are affordable again
@@ -277,13 +274,13 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
                             left = viol[k] = viol[k] - 1
                             vsum[k] -= i
                             if left == 0:            # i was its single violator
-                                tight -= colmax[k] - rows[i][k]
+                                margin += colmax[k] - rows[i][k]
                                 if size[k] > 1:
                                     crit.discard(k)
                             elif left == 1:          # the other violator is now single
-                                tight += colmax[k] - rows[vsum[k]][k]
+                                margin -= colmax[k] - rows[vsum[k]][k]
             if viol[j] == 1:                         # j rejoins the single-violator columns
-                tight += colmax[j] - rows[vsum[j]][j]
+                margin -= colmax[j] - rows[vsum[j]][j]
 
         # per placed column, innermost last: (column, its candidates not yet tried);
         # an explicit stack, so the depth is not bounded by Python's recursion limit
@@ -295,7 +292,7 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
                 nodes += 1                           # a node: the placements on the stack
                 if nodes > limit:
                     raise _OutOfBudget
-                if positive and slack >= tight:      # else nobody, or not the sum, can still beat baseline
+                if margin >= 0:                      # else the utilities cannot sum above sum(base)
                     if len(stack) == len(order):     # the stack holds every placed column
                         return list(owner)
                     if crit:                         # dead, or its one violator or positive agent

@@ -590,6 +590,13 @@ def test_parse_allocation_validation():
             parse_instance(json.dumps(dict(base, allocation={"o": holder})))
 
 
+@pytest.mark.parametrize("field", ["allocation", "roles"])
+def test_a_non_object_allocation_or_roles_names_the_json_object_type(field):
+    data = {"kind": "additive", "agents": ["a"], "resources": ["o"], "matrix": [[1]], field: []}
+    with pytest.raises(FormatError, match=f"^document\\.{field}: expected dict, got list$"):
+        parse_instance(json.dumps(data))
+
+
 def test_parse_not_json_at_all():
     with pytest.raises(FormatError):
         parse_instance("][")

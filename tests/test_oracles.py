@@ -36,6 +36,7 @@ from fairdiv import (
     utility_vector,
     x_forall_assignments,
 )
+from fairdiv.cli import main
 from fairdiv.formulas import formula_satisfied
 from fairdiv.model import ContractError, bundles_of, scaled_utilities
 import fairdiv.oracles
@@ -515,6 +516,21 @@ def test_pinned_eef_search():
     verdict = brute_force_eef(additive_instance([[1] * 4] * 3))
     assert verdict.is_no
     assert verdict.nodes == 81
+
+
+def test_pinned_search_on_every_sign_pattern_over_three_variables(tmp_path, capsys):
+    # unsatisfiable, so the search walks its whole pruned tree to a No
+    clauses = [[s * v for s, v in zip(signs, (1, 2, 3))] for signs in itertools.product((1, -1), repeat=3)]
+    reduction = reduce_3cnf_to_po(CnfFormula(3, clauses))
+    assert (reduction.instance.num_agents, reduction.instance.num_resources) == (16, 36)
+    verdict = find_dominating_allocation(reduction.instance, reduction.baseline)
+    assert verdict.is_no
+    assert verdict.nodes == 319
+    path = tmp_path / "core.cnf"
+    path.write_text("p cnf 3 8\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    assert main(["verify-reduction", "po", str(path)]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert (witness["baseline_dominated"], witness["dominance_nodes"], witness["sat_nodes"]) == (False, 319, 6)
 
 
 def test_pinned_search_on_a_heavy_tail_formula():
