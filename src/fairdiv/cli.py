@@ -151,30 +151,30 @@ def _cmd_reduce_eef(args) -> int:
     return 0
 
 
+def _verdict(checks: list) -> str:
+    """The verdict of a three-valued conjunction: "no" if a check is False,
+    else "unknown" if one is None (undecided), else "yes"."""
+    return "no" if False in checks else "unknown" if None in checks else "yes"
+
+
 def _verify_po(args, text: str):
     formula = parse_dimacs(text)
     reduction = reduce_3cnf_to_po(formula)
     sat = sat_on_partial(formula)
     dominated = find_dominating_allocation(reduction.instance, reduction.baseline, _budget(args))
-    nodes = sat.nodes + dominated.nodes
     detail = {
         "agents": reduction.instance.num_agents,
         "resources": reduction.instance.num_resources,
         "satisfiable": sat.is_yes,
         "baseline_dominated": None if dominated.is_unknown else dominated.is_yes,
-        "improvement_construction_checked": False,
+        "improvement_construction_checked": sat.is_yes and dominates(
+            reduction.instance, construct_improvement_po(reduction, sat.witness), reduction.baseline),
         "sat_nodes": sat.nodes,
         "dominance_nodes": dominated.nodes,
     }
-    sound = sat.is_yes == dominated.is_yes
-    if sat.is_yes:
-        improvement = construct_improvement_po(reduction, sat.witness)
-        detail["improvement_construction_checked"] = dominates(
-            reduction.instance, improvement, reduction.baseline)
-        sound = sound and detail["improvement_construction_checked"]
-    if dominated.is_unknown:
-        return "unknown", detail, nodes
-    return ("yes" if sound else "no"), detail, nodes
+    verdict = _verdict([None if dominated.is_unknown else sat.is_yes == dominated.is_yes,
+                        detail["improvement_construction_checked"] or not sat.is_yes])
+    return verdict, detail, sat.nodes + dominated.nodes
 
 
 def _verify_eef(args, text: str):
@@ -184,26 +184,22 @@ def _verify_eef(args, text: str):
     cnf = formula.cnf()
     sat_nodes = dominance_nodes = 0
     per_assignment = []
-    sound = True
     # per forall assignment, its 2^F templates: the default and any subset of its F flag patches
     for s in x_forall_assignments(reduction.formula):
         template, patches = build_x_forall_allocation(reduction, s)
         patches = patches if args.all_flags else []
-        envy_free = find_envy(reduction.instance, template, patches) is None
-        sound = sound and envy_free
         sat = sat_on_partial(cnf, s)
         sat_nodes += sat.nodes
         entry = {
             "s": {f"x{v}": value for v, value in s.values},
             "templates_checked": 2 ** len(patches),
-            "templates_envy_free": envy_free,
+            "templates_envy_free": find_envy(reduction.instance, template, patches) is None,
             "satisfiable_over_exists": sat.is_yes,
         }
         if sat.is_yes:
             improvement = construct_improvement_eef(reduction, template, sat.witness)
             entry["improvement_construction_checked"] = dominates(
                 reduction.instance, improvement, template)
-            sound = sound and entry["improvement_construction_checked"]
             entry["template_efficient"] = False
         else:
             # each search gets what the earlier ones left of the one budget; none starts once it is spent
@@ -212,26 +208,26 @@ def _verify_eef(args, text: str):
                          if left > 0 else TriVerdict.unknown())
             dominance_nodes += certified.nodes
             entry["template_efficient"] = None if certified.is_unknown else certified.is_no
-            sound = sound and certified.is_no          # an Unknown run returns before reading it
         per_assignment.append(entry)
+    # three-valued OR: true if one template is certified efficient, else null if one is undecided
     efficient = [entry["template_efficient"] for entry in per_assignment]
-    unknown, family_has_eef = None in efficient, True in efficient
+    family_has_eef = True if True in efficient else None if None in efficient else False
     # true when every forall assignment leaves the clauses satisfiable over the exists block
     truth = all(entry["satisfiable_over_exists"] for entry in per_assignment)
     detail = {
         "agents": reduction.instance.num_agents,
         "resources": reduction.instance.num_resources,
         "formula_true": truth,
-        "family_has_eef": None if unknown else family_has_eef,
+        "family_has_eef": family_has_eef,
         "assignments": per_assignment,
         "sat_nodes": sat_nodes,
         "dominance_nodes": dominance_nodes,
     }
-    nodes = sat_nodes + dominance_nodes
-    if unknown:
-        return "unknown", detail, nodes
-    sound = sound and (truth == (not family_has_eef))
-    return ("yes" if sound else "no"), detail, nodes
+    checks = [None if family_has_eef is None else truth != family_has_eef]
+    for entry in per_assignment:
+        checks += (entry["templates_envy_free"], entry["improvement_construction_checked"]
+                   if entry["satisfiable_over_exists"] else entry["template_efficient"])
+    return _verdict(checks), detail, sat_nodes + dominance_nodes
 
 
 @_reporting

@@ -316,8 +316,8 @@ def _read_dimacs(text: str, quantified: bool) -> tuple[int, list[tuple[int, ...]
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {_shown(line)}")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
-            except ValueError:
+                num_vars, declared = _dimacs_int(parts[2], lineno), _dimacs_int(parts[3], lineno)
+            except FormatError:
                 raise FormatError(f"line {lineno}: malformed header {_shown(line)}") from None
             if num_vars < 0 or declared < 0:
                 raise FormatError(f"line {lineno}: negative counts in header")
@@ -371,10 +371,12 @@ def _read_dimacs(text: str, quantified: bool) -> tuple[int, list[tuple[int, ...]
 
 
 def _dimacs_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: unexpected token {_shown(token)}") from None
+    try:    # int() alone would also read '1_0', '+3' and non-ASCII digits
+        if token.isascii() and token.removeprefix("-").isdigit():
+            return int(token)
+    except ValueError:    # more digits than int() converts
+        pass
+    raise FormatError(f"line {lineno}: unexpected token {_shown(token)}")
 
 
 def parse_dimacs(text: str) -> CnfFormula:

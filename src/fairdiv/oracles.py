@@ -220,6 +220,8 @@ def _pareto_search(rows: Sequence[Sequence[int]]) -> Callable[[list[int], _Count
 
     def search(base: list[int], counter: _Counter) -> Optional[list[Optional[int]]]:
         gap = [sum(cs) - b for cs, b in zip(coef, base)]
+        if min(gap, default=0) < 0:          # a base off every allocation: no dominator reaches it
+            return None
         top = [bisect_right(cs, g) for cs, g in zip(coef, gap)]
         viol = [0] * m
         vsum = [0] * m

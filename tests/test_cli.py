@@ -425,6 +425,28 @@ def test_verify_reduction_checks_that_each_improvement_dominates(tmp_path, capsy
         == [False, False]
 
 
+@pytest.mark.parametrize("which, text", [("po", EXAMPLE_DIMACS), ("eef", FALSE_AE_DIMACS)], ids=["po", "eef"])
+def test_verify_reduction_a_failed_check_decides_no_while_a_search_is_undecided(
+        tmp_path, capsys, monkeypatch, which, text):
+    # "no" takes precedence over "unknown": a construction that improves
+    # nothing is a failed check even though the budget leaves a search open
+    monkeypatch.setattr(fairdiv.cli, "construct_improvement_po",
+                        lambda reduction, assignment: reduction.baseline)
+    monkeypatch.setattr(fairdiv.cli, "construct_improvement_eef",
+                        lambda reduction, baseline, extension: baseline)
+    formula = tmp_path / "f.cnf"
+    formula.write_text(text)
+    code, report, _ = run(capsys, ["verify-reduction", which, str(formula), "--budget", "1"])
+    assert (code, report["verdict"]) == (1, "no")
+    detail = report["witness"]
+    if which == "po":
+        assert (detail["improvement_construction_checked"], detail["baseline_dominated"]) == (False, None)
+    else:
+        assert [(e["improvement_construction_checked"] if e["satisfiable_over_exists"] else e["template_efficient"])
+                for e in detail["assignments"]] == [None, False]
+        assert detail["family_has_eef"] is None
+
+
 def _dimacs(num_vars, clauses):
     return f"p cnf {num_vars} {len(clauses)}\n" + "".join(
         " ".join(map(str, c)) + " 0\n" for c in clauses)
@@ -565,6 +587,18 @@ def test_verify_reduction_eef_shares_one_budget_across_its_pareto_searches(tmp_p
         code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", str(budget)])
         assert (code, report["stats"]["nodes"]) == (exit_code, nodes)
         assert [entry["template_efficient"] for entry in report["witness"]["assignments"]] == efficient
+
+
+def test_verify_reduction_eef_family_has_eef_once_one_template_is_efficient(tmp_path, capsys):
+    # a three-valued OR: one certified template decides it, though the
+    # other search ran out of budget and keeps the verdict unknown
+    formula = tmp_path / "f.qcnf"
+    formula.write_text("p cnf 2 2\na 1 0\ne 2 0\n2 0\n-2 0\n")
+    code, report, _ = run(capsys, ["verify-reduction", "eef", str(formula), "--budget", "25"])
+    assert (code, report["verdict"]) == (2, "unknown")
+    detail = report["witness"]
+    assert [entry["template_efficient"] for entry in detail["assignments"]] == [True, None]
+    assert (detail["formula_true"], detail["family_has_eef"]) == (False, True)
 
 
 def test_empty_forall_exists_formula_exits_3(tmp_path, capsys):
@@ -796,6 +830,53 @@ def test_verify_reduction_never_reports_an_unsound_reduction(tmp_path_factory, f
     assert _quiet_run(["verify-reduction", "po", str(plain)])[0] == 0
     code, err = _quiet_run(["verify-reduction", "eef", str(quantified)] + ["--all-flags"] * all_flags)
     assert code == (0 if num_vars else 3), err      # with no variable, no clause either
+
+
+def _conjunction(checks):
+    """Three-valued AND as a verdict: a false check decides "no", else an
+    undecided (None) one decides "unknown"."""
+    return "no" if any(c is False for c in checks) else "unknown" if any(c is None for c in checks) else "yes"
+
+
+def _verdict_from_witness(which, detail):
+    """The verdict ``verify-reduction`` must print, read off its witness."""
+    if which == "po":
+        dominated = detail["baseline_dominated"]
+        checks = [None if dominated is None else dominated == detail["satisfiable"]]
+        if detail["satisfiable"]:
+            checks.append(detail["improvement_construction_checked"])
+        return _conjunction(checks)
+    entries = detail["assignments"]
+    efficient = [e["template_efficient"] for e in entries]
+    assert detail["family_has_eef"] == (True if any(e is True for e in efficient)
+                                        else None if None in efficient else False)
+    assert detail["formula_true"] == all(e["satisfiable_over_exists"] for e in entries)
+    checks = [None if detail["family_has_eef"] is None else detail["family_has_eef"] != detail["formula_true"]]
+    for e in entries:
+        checks.append(e["templates_envy_free"])
+        checks.append(e["improvement_construction_checked"] if e["satisfiable_over_exists"]
+                      else e["template_efficient"])
+    return _conjunction(checks)
+
+
+@settings(max_examples=50)
+@given(small_formulas(), st.integers(1, 60), st.booleans())
+def test_verify_reduction_verdict_is_read_off_its_witness(tmp_path_factory, formula, budget, all_flags):
+    num_vars, forall, clauses = formula
+    exists = [v for v in range(1, num_vars + 1) if v not in forall]
+    directory = tmp_path_factory.mktemp("formula")
+    header, body = _dimacs(num_vars, clauses).split("\n", 1)
+    blocks = "".join(f"{q} {' '.join(map(str, vs))} 0\n" for q, vs in (("a", forall), ("e", exists)))
+    (directory / "po").write_text(_dimacs(num_vars, clauses))
+    (directory / "eef").write_text(f"{header}\n{blocks}{body}")
+    for which in ("po", "eef") if num_vars else ("po",):      # with no variable, eef exits 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify-reduction", which, str(directory / which), "--budget", str(budget)]
+                        + ["--all-flags"] * all_flags)
+        report = json.loads(out.getvalue())
+        assert report["verdict"] == _verdict_from_witness(which, report["witness"])
+        assert code == ("yes", "no", "unknown").index(report["verdict"])
 
 
 # ---------------------------------------------------------------------------

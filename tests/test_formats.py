@@ -425,6 +425,13 @@ def test_parse_errors_name_the_offending_path():
         parse_instance(json.dumps({k: v for k, v in base.items() if k != "agents"}))
 
 
+def test_a_matrix_with_the_wrong_number_of_rows_is_named():
+    doc = {"kind": "additive", "agents": ["a", "b"], "resources": ["o"], "matrix": [[1]]}
+    with pytest.raises(FormatError) as e:
+        parse_instance(json.dumps(doc))
+    assert str(e.value) == "document.matrix: 1 rows for 2 agents"
+
+
 _OVERSIZED = "9" * 5000             # a JSON integer past int()'s digit limit
 
 
@@ -684,6 +691,37 @@ def test_parse_ae_dimacs_errors():
     ):
         with pytest.raises(FormatError):
             parse_ae_dimacs(text)
+
+
+def _dimacs_reading(value, at, token, quantified):
+    """A text that reads ``value`` at position ``at``, written there as
+    ``token``: a header count, the one forall variable, or every literal."""
+    def put(here, text):
+        return token if here == at else text
+    clauses = value if at == "clauses" else 1
+    lines = [f"p cnf {put('variables', value)} {put('clauses', clauses)}"]
+    if quantified:
+        lines += [f"a {put('quantifier', value)} 0", "e " + " ".join(map(str, range(1, value))) + " 0"]
+    return "\n".join(lines + [f"{put('literal', value)} 0"] * clauses) + "\n"
+
+
+# int() reads each of these tokens as the value beside it; the grammar is -?[0-9]+
+@pytest.mark.parametrize("token, value", [("1_0", 10), ("+3", 3), ("\u0663", 3), ("\uff13", 3)])
+@pytest.mark.parametrize("parse, at", [
+    (parse, at) for parse in (parse_dimacs, parse_ae_dimacs)
+    for at in ("variables", "clauses", "quantifier", "literal")
+    if parse is parse_ae_dimacs or at != "quantifier"])
+def test_dimacs_integers_are_ascii_digits_after_an_optional_minus(parse, at, token, value):
+    quantified = parse is parse_ae_dimacs
+    assert parse(_dimacs_reading(value, at, str(value), quantified)).num_vars == value
+    text = _dimacs_reading(value, at, token, quantified)
+    with pytest.raises(FormatError) as e:
+        parse(text)
+    if at in ("variables", "clauses"):
+        assert str(e.value) == f"line 1: malformed header {text.splitlines()[0]!r}"
+    else:
+        lineno = 4 if at == "literal" and quantified else 2
+        assert str(e.value) == f"line {lineno}: unexpected token {token!r}"
 
 
 def _dimacs_lines(clauses, rng):

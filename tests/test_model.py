@@ -102,6 +102,16 @@ def test_duplicate_ids_rejected():
         additive_instance([[1, 2]], resources=["o", "o"])
 
 
+@pytest.mark.parametrize("agents, utilities, message", [
+    (["a", 5], Additive([[1], [2]]), "agent ids must be non-empty strings"),
+    (["a"], [[1]], "unsupported utility model: [[1]]"),
+], ids=["agent-id", "utility-model"])
+def test_instance_names_what_it_rejects(agents, utilities, message):
+    with pytest.raises(ContractError) as e:
+        Instance(agents, ["o"], utilities)
+    assert str(e.value) == message
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ContractError):
         additive_instance([[1, 2], [3]])

@@ -177,6 +177,24 @@ def test_dominance_search_needs_additive():
         find_dominating_allocation(inst, Allocation([None]))
 
 
+def test_dominance_enumeration_needs_additive():
+    with pytest.raises(WrongUtilityKind):
+        dominating_allocation_by_enumeration(max_atomic_instance([[1]]), Allocation([None]))
+
+
+def test_a_witness_that_fails_its_check_exits_4_not_as_a_verdict(tmp_path, monkeypatch, capsys):
+    # the search re-verifies its witness before reporting it: a failed check is
+    # an internal error, never a "yes" or a "no"
+    formula, document = tmp_path / "f.cnf", tmp_path / "po.json"
+    formula.write_text("p cnf 3 2\n1 2 -3 0\n-1 -2 -3 0\n")
+    assert main(["reduce-po", str(formula), "--out", str(document)]) == 0
+    monkeypatch.setattr(fairdiv.oracles, "dominates", lambda *args: False)
+    assert main(["check-pareto", str(document)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: internal: AssertionError")
+
+
 def test_node_counts_are_deterministic():
     inst = additive_instance([[2, -1, 1], [1, 1, 0]])
     base = Allocation([None, 0, 1])
@@ -426,6 +444,14 @@ def test_search_never_visits_more_nodes_than_the_slack_bound_search(case):
     # pricing a single-violator column at its violator's cell cuts only
     # subtrees that hold no dominator, and keeps the copy's node order
     assert_no_more_nodes_and_same_result(slack_bound_dominator_search, case)
+
+
+def test_a_base_off_every_allocation_has_no_dominator():
+    # agent 4 values nothing but its base is 1, so no owner vector dominates;
+    # the welfare bound alone would walk on to the leaf [None, 5, 3]
+    case = [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 0], [0, 3, 0]], [0, 0, 0, 0, 1, 3], 10**6
+    assert run_search(_dominator_search, *case) == (None, False, 0)
+    assert_no_more_nodes_and_same_result(previous_dominator_search, case)
 
 
 def assert_no_more_nodes_and_same_result(reference, case):

@@ -336,6 +336,12 @@ def test_template_unassigned_bundle_contents():
     assert set(bundles[mapping.agent("unassigned")]) == expected
 
 
+def test_eef_improvement_rejects_an_allocation_of_another_instance():
+    reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
+    with pytest.raises(ContractError, match="allocation does not match the instance"):
+        construct_improvement_eef(reduction, Allocation([None]), {1: True, 2: False})
+
+
 def test_template_rejects_wrong_assignments():
     reduction = reduce_ae3cnf_to_eef(EXAMPLE_AE)
     with pytest.raises(ContractError):
