@@ -8,8 +8,7 @@ from .model import (Additive, Allocation, ContractError, Instance, MaxAtomic,
 from .solver import (Matching, WeightMatrix, check_weight_invariants,
                      decide_lmmuab, generate_weights, min_weight_max_matching,
                      solve_leximin)
-from .formulas import (AEFormula, CnfFormula, PartialAssignment,
-                       clauses_with_literal, formula_satisfied, literal_holds)
+from .formulas import AEFormula, CnfFormula, PartialAssignment, formula_satisfied, literal_holds
 from .oracles import (DEFAULT_BUDGET, SearchBudget, SearchSpaceTooLarge,
                       TriVerdict, VerdictKind, ae3cnf_eval, brute_force_eef,
                       brute_force_leximin, dominating_allocation_by_enumeration,

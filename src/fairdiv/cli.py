@@ -158,6 +158,8 @@ def _verdict(checks: list) -> str:
 
 
 def _verify_po(args, text: str):
+    if args.all_flags:
+        raise ContractError("--all-flags applies to verify-reduction eef only")
     formula = parse_dimacs(text)
     reduction = reduce_3cnf_to_po(formula)
     sat = sat_on_partial(formula)

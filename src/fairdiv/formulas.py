@@ -110,8 +110,3 @@ def clause_status(clause: Iterable[int], assignment: Mapping[int, bool]) -> Opti
 def formula_satisfied(clauses: Iterable[Iterable[int]], assignment: Mapping[int, bool]) -> bool:
     """All clauses satisfied under a (full enough) assignment."""
     return all(clause_status(c, assignment) is True for c in clauses)
-
-
-def clauses_with_literal(clauses: Iterable[Iterable[int]], lit: int) -> tuple[int, ...]:
-    """Indices of clauses containing the literal (exactly, not its negation)."""
-    return tuple(k for k, c in enumerate(clauses) if lit in c)

@@ -8,6 +8,8 @@ Two constructions live here, both producing additive instances.
   polarity) whose coefficients count literal occurrences; a "satisfied"
   collector agent and an "unassigned" agent complete the account so that any
   Pareto improvement must encode a satisfying assignment and vice versa.
+  Its cells, baseline and improvement are written once (``_cnf_*``), over
+  the variables whose literals have assignment agents: here, all of them.
 
 * ``reduce_ae3cnf_to_eef``: a two-level forall/exists clausal formula becomes
   an instance that admits an envy-free Pareto-optimal allocation **iff** the
@@ -15,13 +17,13 @@ Two constructions live here, both producing additive instances.
   a family of template allocations (built by ``build_x_forall_allocation``);
   each is always envy-free, and it is Pareto-optimal exactly when the clauses
   are *unsatisfiable* over the exists block given ``s``.  That function is
-  the only place the layout is written: it returns the default template of
-  ``s`` with each flag's patch, the moves that setting that flag makes, and
-  the family walk, its closed-form check and ``construct_improvement_eef``'s
-  template recognition all read that pair.  Helper and
-  envy-protection agents, compensation resources, and two envy anchor
-  resources keep every other corner of the allocation space either envious
-  or dominated.
+  the only place the forall layout is written: it returns the default
+  template of ``s`` with each flag's patch, the moves that setting that flag
+  makes, and the family walk, its closed-form check and
+  ``construct_improvement_eef``'s template recognition all read that pair.
+  Helper and envy-protection agents, compensation resources, and two envy
+  anchor resources keep every other corner of the allocation space envious
+  or dominated.  Its exists block is the first gadget, built by its code.
 
 Both constructions are paired with explicit improvement procedures
 (``construct_improvement_po`` / ``construct_improvement_eef``) that turn a
@@ -41,10 +43,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .formulas import (AEFormula, CnfFormula, PartialAssignment,
-                       clauses_with_literal, formula_satisfied, literal_holds)
+from .formulas import AEFormula, CnfFormula, PartialAssignment, formula_satisfied, literal_holds
 from .model import Additive, Allocation, ContractError, Instance, Record, _shown, as_rational
 
 # role -> (tag, link fields): an id's structured key is (tag, *link values),
@@ -177,6 +178,52 @@ def _check_clause_sizes(clauses: Iterable[tuple[int, ...]]) -> None:
 # ---------------------------------------------------------------------------
 # satisfiability -> Pareto-optimality
 
+def _cnf_cells(b: _GadgetBuilder, clauses, variables: Sequence[int], occurrences: Counter) -> None:
+    """A variable resource is worth 1 to the unassigned agent and its literal's
+    occurrences to each literal's agent; a clause, 1 to the satisfied collector;
+    an occurrence, 1 to its clause and literal agents; the bonus, |C| to the collector."""
+    assigned = set(variables)
+    for v in variables:
+        b.set(("unassigned",), ("var", v), 1)
+        for lit in (v, -v):
+            if occurrences[lit]:
+                b.set(("set", lit), ("var", v), occurrences[lit])
+    for k, clause in enumerate(clauses):
+        b.set(("satisfied",), ("clause", k), 1)
+        for lit in clause:
+            b.set(("clause", k), ("lit", k, lit), 1)
+            if abs(lit) in assigned:
+                b.set(("set", lit), ("lit", k, lit), 1)
+    b.set(("satisfied",), ("satisfied",), len(clauses))
+
+
+def _cnf_baseline(mapping: ReductionMap, clauses, variables: Sequence[int], owner: list) -> None:
+    """Variable resources to the unassigned agent, clauses to their agents,
+    occurrences to their literals' agents, the bonus to the satisfied collector."""
+    assigned = set(variables)
+    for v in variables:
+        owner[mapping.resource("var", v)] = mapping.agent("unassigned")
+    for k, clause in enumerate(clauses):
+        owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
+        for lit in clause:
+            if abs(lit) in assigned:
+                owner[mapping.resource("lit", k, lit)] = mapping.agent("set", lit)
+    owner[mapping.resource("satisfied")] = mapping.agent("satisfied")
+
+
+def _cnf_improvement(mapping: ReductionMap, clauses, values: Mapping[int, bool],
+                     variables: Sequence[int], owner: list) -> None:
+    """``construct_improvement_po``'s moves; every true occurrence moves, whatever its variable."""
+    for v in variables:
+        owner[mapping.resource("var", v)] = mapping.agent("set", v if values[v] else -v)
+    for k, clause in enumerate(clauses):
+        owner[mapping.resource("clause", k)] = mapping.agent("satisfied")
+        for lit in clause:
+            if literal_holds(lit, values[abs(lit)]):
+                owner[mapping.resource("lit", k, lit)] = mapping.agent("clause", k)
+    owner[mapping.resource("satisfied")] = mapping.agent("unassigned")
+
+
 class PoReduction(Record):
     __slots__ = ("formula", "instance", "baseline", "mapping")
 
@@ -215,41 +262,17 @@ def reduce_3cnf_to_po(formula: CnfFormula) -> PoReduction:
             b.add_resource(f"o:c{k + 1},{_lit_id(lit)}", "literal", clause=k, literal=lit)
     b.add_resource("o:satisfied", "satisfied")
 
-    # variable resources: worth 1 to the unassigned agent, and to each
-    # polarity's assignment agent as much as that literal occurs (a clause
-    # holds a literal once, so this counts the clauses that hold it)
-    occurrences = Counter(lit for clause in clauses for lit in clause)
-    for v in range(1, w + 1):
-        b.set(("unassigned",), ("var", v), 1)
-        for lit in (v, -v):
-            if occurrences[lit]:
-                b.set(("set", lit), ("var", v), occurrences[lit])
-    # clause resources: the clause agent or the satisfied collector
+    _cnf_cells(b, clauses, range(1, w + 1), Counter(lit for clause in clauses for lit in clause))
     for k in range(len(clauses)):
         b.set(("clause", k), ("clause", k), 1)
-        b.set(("satisfied",), ("clause", k), 1)
-    # literal occurrence resources: the clause agent or the literal's agent
-    for k, clause in enumerate(clauses):
-        for lit in clause:
-            b.set(("clause", k), ("lit", k, lit), 1)
-            b.set(("set", lit), ("lit", k, lit), 1)
     # the bonus resource: the whole point of the gadget.  The unassigned
     # agent's w+1 beats its baseline of w exactly when everything else can be
     # handed off along a satisfying assignment.
-    b.set(("satisfied",), ("satisfied",), len(clauses))
     b.set(("unassigned",), ("satisfied",), w + 1)
 
-    mapping = b.mapping
     owner: list[Optional[int]] = [None] * len(b.resource_ids)
-    for v in range(1, w + 1):
-        owner[mapping.resource("var", v)] = mapping.agent("unassigned")
-    for k, clause in enumerate(clauses):
-        owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
-        for lit in clause:
-            owner[mapping.resource("lit", k, lit)] = mapping.agent("set", lit)
-    owner[mapping.resource("satisfied")] = mapping.agent("satisfied")
-
-    return PoReduction(formula, b.instance(), Allocation(owner), mapping)
+    _cnf_baseline(b.mapping, clauses, range(1, w + 1), owner)
+    return PoReduction(formula, b.instance(), Allocation(owner), b.mapping)
 
 
 def _full_assignment(assignment: Union[PartialAssignment, Mapping[int, bool]],
@@ -271,16 +294,9 @@ def construct_improvement_po(reduction: PoReduction,
     values = _full_assignment(assignment, reduction.formula.num_vars)
     if not formula_satisfied(reduction.formula.clauses, values):
         raise ContractError("the assignment does not satisfy the formula")
-    mapping = reduction.mapping
     owner = list(reduction.baseline.owner)
-    for v in range(1, reduction.formula.num_vars + 1):
-        true_lit = v if values[v] else -v
-        owner[mapping.resource("var", v)] = mapping.agent("set", true_lit)
-        for k in clauses_with_literal(reduction.formula.clauses, true_lit):
-            owner[mapping.resource("lit", k, true_lit)] = mapping.agent("clause", k)
-    for k in range(len(reduction.formula.clauses)):
-        owner[mapping.resource("clause", k)] = mapping.agent("satisfied")
-    owner[mapping.resource("satisfied")] = mapping.agent("unassigned")
+    _cnf_improvement(reduction.mapping, reduction.formula.clauses, values,
+                     range(1, reduction.formula.num_vars + 1), owner)
     return Allocation(owner)
 
 
@@ -397,16 +413,13 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
     b.add_resource("o:envy2", "envy-anchor-2")
 
     # ordinary (non-M) coefficients first, so the default M can dominate them
+    _cnf_cells(b, clauses, exists_vars, occ)
     for k, clause in enumerate(clauses):
-        b.set(("satisfied",), ("clause", k), 1)
         b.set(("unassigned",), ("clause_comp", k), 1)
         for lit in clause:
-            b.set(("clause", k), ("lit", k, lit), 1)
             if abs(lit) in universal:
                 b.set(("helper", lit), ("lit", k, lit), 1)
                 b.set(("ep", k, lit), ("lit", k, lit), 1)
-            else:
-                b.set(("set", lit), ("lit", k, lit), 1)
     for v in forall_vars:
         b.set(("set", v), ("var", v), 1)
         b.set(("set", -v), ("var", v), 1)
@@ -417,12 +430,7 @@ def reduce_ae3cnf_to_eef(formula: AEFormula, big_m: Optional[object] = None) -> 
             b.set(("helper", lit), ("helper", lit), occ[lit])
             b.set(("set", lit), ("helper", lit), 1)
             b.set(("set", -lit), ("helper", lit), 1)
-    for v in exists_vars:
-        b.set(("set", v), ("var", v), occ[v])
-        b.set(("set", -v), ("var", v), occ[-v])
-        b.set(("unassigned",), ("var", v), 1)
     b.set(("unassigned",), ("satisfied",), t)
-    b.set(("satisfied",), ("satisfied",), len(clauses))
     b.set(("unassigned",), ("envy1",), 2 * t)
     b.set(("satisfied",), ("envy1",), Fraction(1, 2))
     b.set(("unassigned",), ("envy2",), 3 * t - 1)
@@ -484,19 +492,16 @@ def build_x_forall_allocation(
     owner: list[Optional[int]] = [None] * reduction.instance.num_resources
     var_patches, lit_patches = [], []
 
+    _cnf_baseline(mapping, formula.clauses, formula.exists_vars, owner)
     for k, clause in enumerate(formula.clauses):
-        owner[mapping.resource("clause", k)] = mapping.agent("clause", k)
-        for lit in clause:
-            j = mapping.resource("lit", k, lit)
-            v = abs(lit)
-            if v not in svalues:
-                owner[j] = mapping.agent("set", lit)
-                continue
-            owner[j] = mapping.agent("helper", lit)
-            owner[mapping.resource("lit_ep", k, lit)] = mapping.agent("ep", k, lit)
-            if not literal_holds(lit, svalues[v]):
-                lit_patches.append([(j, owner[j], mapping.agent("ep", k, lit))])
         owner[mapping.resource("clause_comp", k)] = mapping.agent("unassigned")
+        for lit in clause:
+            if abs(lit) in svalues:
+                j = mapping.resource("lit", k, lit)
+                owner[j] = mapping.agent("helper", lit)
+                owner[mapping.resource("lit_ep", k, lit)] = mapping.agent("ep", k, lit)
+                if not literal_holds(lit, svalues[abs(lit)]):
+                    lit_patches.append([(j, owner[j], mapping.agent("ep", k, lit))])
 
     for v in formula.forall_vars:
         pos, neg = mapping.agent("set", v), mapping.agent("set", -v)
@@ -508,10 +513,6 @@ def build_x_forall_allocation(
         owner[mapping.resource("helper", -true_lit)] = mapping.agent("helper", -true_lit)
         owner[mapping.resource("var_comp", v)] = mapping.agent("unassigned")
 
-    for v in formula.exists_vars:
-        owner[mapping.resource("var", v)] = mapping.agent("unassigned")
-
-    owner[mapping.resource("satisfied")] = mapping.agent("satisfied")
     owner[mapping.resource("envy1")] = mapping.agent("unassigned")
     owner[mapping.resource("envy2")] = mapping.agent("unassigned_ep")
 
@@ -579,20 +580,12 @@ def construct_improvement_eef(reduction: EefReduction, baseline: Allocation,
         raise ContractError("the extension does not satisfy the clauses")
 
     owner = list(baseline.owner)
-    owner[mapping.resource("satisfied")] = mapping.agent("unassigned")
+    _cnf_improvement(mapping, formula.clauses, values, formula.exists_vars, owner)
     for k in range(len(formula.clauses)):
-        owner[mapping.resource("clause", k)] = mapping.agent("satisfied")
         owner[mapping.resource("clause_comp", k)] = mapping.agent("clause", k)
     for v in formula.forall_vars:
         true_lit = v if values[v] else -v
         parked_with = baseline.owner[mapping.resource("helper", true_lit)]
         owner[mapping.resource("var_comp", v)] = parked_with
         owner[mapping.resource("helper", true_lit)] = mapping.agent("helper", true_lit)
-        for k in clauses_with_literal(formula.clauses, true_lit):
-            owner[mapping.resource("lit", k, true_lit)] = mapping.agent("clause", k)
-    for v in formula.exists_vars:
-        ext_lit = v if values[v] else -v
-        owner[mapping.resource("var", v)] = mapping.agent("set", ext_lit)
-        for k in clauses_with_literal(formula.clauses, ext_lit):
-            owner[mapping.resource("lit", k, ext_lit)] = mapping.agent("clause", k)
     return Allocation(owner)

@@ -368,6 +368,14 @@ def test_verify_reduction_po(tmp_path, capsys):
     assert report["witness"]["baseline_dominated"] is False
 
 
+def test_verify_reduction_po_rejects_all_flags(tmp_path, capsys):
+    formula = tmp_path / "f.cnf"
+    formula.write_text(EXAMPLE_DIMACS)
+    code, report, err = run(capsys, ["verify-reduction", "po", str(formula), "--all-flags"])
+    assert (code, report) == (3, None)
+    assert err == "error: --all-flags applies to verify-reduction eef only\n"
+
+
 def test_verify_reduction_eef_true_and_false_formulas(tmp_path, capsys):
     formula = tmp_path / "f.qcnf"
     formula.write_text(TRUE_AE_DIMACS)
@@ -873,7 +881,7 @@ def test_verify_reduction_verdict_is_read_off_its_witness(tmp_path_factory, form
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["verify-reduction", which, str(directory / which), "--budget", str(budget)]
-                        + ["--all-flags"] * all_flags)
+                        + ["--all-flags"] * (all_flags and which == "eef"))     # po rejects it
         report = json.loads(out.getvalue())
         assert report["verdict"] == _verdict_from_witness(which, report["witness"])
         assert code == ("yes", "no", "unknown").index(report["verdict"])

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -722,6 +723,27 @@ def test_dimacs_integers_are_ascii_digits_after_an_optional_minus(parse, at, tok
     else:
         lineno = 4 if at == "literal" and quantified else 2
         assert str(e.value) == f"line {lineno}: unexpected token {token!r}"
+
+
+LONG_DIGITS = "1" * 5000     # more digits than int() converts by default
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python's int() converts any number of digits")
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_dimacs, f"p cnf 1 1\n{LONG_DIGITS} 0\n",
+     f"line 2: unexpected token '{LONG_DIGITS[:40]}...'"),
+    (parse_dimacs, f"p cnf 1 1\n-{LONG_DIGITS} 0\n",
+     f"line 2: unexpected token '-{LONG_DIGITS[:39]}...'"),
+    (parse_dimacs, f"p cnf {LONG_DIGITS} 1\n1 0\n",
+     f"line 1: malformed header 'p cnf {LONG_DIGITS[:34]}...'"),
+    (parse_ae_dimacs, f"p cnf 1 1\na {LONG_DIGITS} 0\ne 0\n1 0\n",
+     f"line 2: unexpected token '{LONG_DIGITS[:40]}...'"),
+], ids=["literal", "negative-literal", "header", "quantifier"])
+def test_dimacs_integers_longer_than_int_converts_are_bad_tokens(parse, text, message):
+    with pytest.raises(FormatError) as e:
+        parse(text)
+    assert str(e.value) == message
 
 
 def _dimacs_lines(clauses, rng):

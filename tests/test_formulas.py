@@ -3,7 +3,6 @@ import pytest
 from fairdiv import AEFormula, CnfFormula, PartialAssignment
 from fairdiv.formulas import (
     clause_status,
-    clauses_with_literal,
     formula_satisfied,
     literal_holds,
 )
@@ -80,9 +79,3 @@ def test_formula_satisfied():
     assert formula_satisfied(clauses, {1: True, 2: False})
     assert not formula_satisfied(clauses, {1: True, 2: True})
 
-
-def test_clauses_with_literal_returns_indices():
-    clauses = [[1, 2], [-1, 2], [1]]
-    assert clauses_with_literal(clauses, 1) == (0, 2)
-    assert clauses_with_literal(clauses, -1) == (1,)
-    assert clauses_with_literal(clauses, -2) == ()

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fairdiv.model
@@ -295,6 +295,53 @@ def test_eef_reduction_size_identities(clauses, forall):
         4 * n_forall + 2 * n_exists + n_clauses + forall_lits + 3)
     assert reduction.instance.num_resources == (
         4 * n_forall + n_exists + 2 * n_clauses + total_lits + forall_lits + 3)
+
+
+@st.composite
+def balanced_satisfiable_3cnfs(draw):
+    """A satisfiable 3CNF over 1-5 variables in which every variable occurs
+    in both polarities (missing ones completed by tautologies)."""
+    num_vars = draw(st.integers(1, 5))
+    literal = st.sampled_from([v for v in range(-num_vars, num_vars + 1) if v])
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=8))
+    formula, _ = augment_both_polarities(CnfFormula(num_vars, clauses))
+    assume(sat_on_partial(formula).is_yes)
+    return formula
+
+
+def moves_by_id(instance, before, after):
+    """The (resource, from agent, to agent) ids of the resources whose owner differs."""
+    return {(instance.resources[j], instance.agents[i], instance.agents[k])
+            for j, (i, k) in enumerate(zip(before.owner, after.owner)) if i != k}
+
+
+@given(balanced_satisfiable_3cnfs())
+@settings(max_examples=60, deadline=None)
+def test_the_eef_gadget_with_no_forall_block_is_the_po_gadget(formula):
+    """With every variable existential, the EEF gadget holds the PO gadget:
+    the same nonzero cells (apart from the clause cells, worth M, and the
+    bonus, worth t), the PO baseline inside its one template, and the PO
+    improvement's moves plus each clause's compensation to its clause agent."""
+    n, clauses = formula.num_vars, formula.clauses
+    po = reduce_3cnf_to_po(formula)
+    eef = reduce_ae3cnf_to_eef(AEFormula(n, [], range(1, n + 1), clauses))
+    agent = {a: i for i, a in enumerate(eef.instance.agents)}
+    resource = {r: j for j, r in enumerate(eef.instance.resources)}
+    differ = {(f"a:c{k + 1}", f"o:c{k + 1}") for k in range(len(clauses))}
+    differ.add(("a:unassigned", "o:satisfied"))
+    for a, row in zip(po.instance.agents, po.instance.matrix):
+        for r, value in zip(po.instance.resources, row):
+            if value and (a, r) not in differ:
+                assert eef.instance.matrix[agent[a]][resource[r]] == value, (a, r)
+    template, patches = build_x_forall_allocation(eef, PartialAssignment())
+    assert patches == []
+    for r, i in zip(po.instance.resources, po.baseline.owner):
+        assert template.owner[resource[r]] == agent[po.instance.agents[i]], r
+    model = sat_on_partial(formula).witness
+    po_moves = moves_by_id(po.instance, po.baseline, construct_improvement_po(po, model))
+    eef_moves = moves_by_id(eef.instance, template, construct_improvement_eef(eef, template, model))
+    compensation = {(f"o:c{k + 1}:comp", "a:unassigned", f"a:c{k + 1}") for k in range(len(clauses))}
+    assert eef_moves == po_moves | compensation
 
 
 # ---------------------------------------------------------------------------
